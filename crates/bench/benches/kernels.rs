@@ -31,7 +31,10 @@
 //! the key that would regress if the snapshot path went O(fleet)),
 //! the chaos experiment's fault-injection event throughput
 //! (`chaos_events_per_sec` — B2 and OC3 fleets end-to-end, gating the
-//! hazard/burst bookkeeping on the event loop),
+//! hazard/burst bookkeeping on the event loop), the failover write
+//! path at 100 000 servers and 10 000 VMs (`failover_ops_per_sec` —
+//! fail/repair actuations per second; quadratic in fleet size if a
+//! placement write ever scans the fleet again),
 //! the governor's steady-state cache hit rate, and the worker count
 //! the pool resolved (`IC_PAR_WORKERS` or the machine's parallelism —
 //! wall-clock numbers only speed up with real cores).
@@ -50,7 +53,7 @@ use ic_cluster::cluster::Cluster;
 use ic_cluster::placement::{Oversubscription, PlacementPolicy};
 use ic_cluster::server::ServerSpec;
 use ic_cluster::vm::VmSpec;
-use ic_controlplane::{FleetWorld, World};
+use ic_controlplane::{Action, FleetConfigBuilder, FleetWorld, Outcome, World};
 use ic_core::governor::{GovernorConfig, OverclockGovernor};
 use ic_obs::json::{write_escaped, write_f64};
 use ic_power::cpu::CpuSku;
@@ -363,6 +366,65 @@ fn chaos_events_per_sec(quick: bool) -> f64 {
     best
 }
 
+/// The failover kernel's fleet: 100 000 servers carrying 10 000 VMs.
+/// Placing those VMs (worst-fit, one policy scan each) takes seconds,
+/// so the fleet is built once per bench process and every measurement
+/// pass reuses it — each fail/repair cycle leaves it in an equivalent
+/// state.
+///
+/// Worst-fit spreads the VMs one per server over the top 10 000
+/// indices, so the cycle ping-pongs: failing server A re-creates its
+/// one VM on the highest-index empty server B, A is repaired, and
+/// failing B sends the VM back to A. Every failure displaces exactly
+/// one VM, so the cost per actuation is that VM's placement (one policy
+/// scan) plus index maintenance — linear in the fleet. A failover that
+/// rescanned every server's VMs would make each failure
+/// O(servers × VMs), ~10⁹ steps here, and the rate would collapse.
+struct FailoverFleet {
+    world: FleetWorld,
+    pair: [usize; 2],
+    cycles: usize,
+}
+
+impl FailoverFleet {
+    const SERVERS: usize = 100_000;
+    const VMS: usize = 10_000;
+
+    fn new() -> Self {
+        let config = FleetConfigBuilder::small(1)
+            .servers(Self::SERVERS)
+            .initial_vms(Self::VMS)
+            .build();
+        FailoverFleet {
+            world: FleetWorld::new(config),
+            pair: [Self::SERVERS - 1, Self::SERVERS - 1 - Self::VMS],
+            cycles: 0,
+        }
+    }
+
+    /// Times fail/repair cycles through [`FleetWorld::apply`] and
+    /// returns actuations (fails plus repairs) per second.
+    fn ops_per_sec(&mut self, batches: u32) -> f64 {
+        let t = SimTime::from_secs(1);
+        let best = best_of(batches, 200, || {
+            let server = self.pair[self.cycles % 2];
+            self.cycles += 1;
+            let failed = self.world.apply(t, "bench", &Action::FailServer { server });
+            assert_eq!(
+                failed,
+                Outcome::FailedOver {
+                    recreated: 1,
+                    unplaced: 0
+                },
+                "every failure displaces exactly one VM"
+            );
+            self.world
+                .apply(t, "bench", &Action::RepairServer { server })
+        });
+        2.0 / best
+    }
+}
+
 /// Exercises the governor's decision loop over a grid of power grants
 /// and reports the steady-state memo table's hit rate — the fraction of
 /// power/temperature fixed points served without re-solving.
@@ -387,12 +449,13 @@ fn governor_cache_hit_rate() -> f64 {
 /// measurement passes — CI gates on quick numbers, and one descheduled
 /// runner must not be able to move them.
 fn trajectory(quick: bool) -> Vec<(&'static str, f64)> {
+    let mut failover = FailoverFleet::new();
     if !quick {
-        return trajectory_once(false);
+        return trajectory_once(false, &mut failover);
     }
-    let first = trajectory_once(true);
-    let second = trajectory_once(true);
-    let third = trajectory_once(true);
+    let first = trajectory_once(true, &mut failover);
+    let second = trajectory_once(true, &mut failover);
+    let third = trajectory_once(true, &mut failover);
     first
         .iter()
         .zip(&second)
@@ -406,7 +469,7 @@ fn trajectory(quick: bool) -> Vec<(&'static str, f64)> {
 }
 
 /// One full measurement pass over every trajectory key.
-fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
+fn trajectory_once(quick: bool, failover: &mut FailoverFleet) -> Vec<(&'static str, f64)> {
     let batches = if quick { 3 } else { 5 };
     let engine_best = engine_iter_secs(batches);
     let (steady_eps, allocs_per_event) = engine_steady_state(if quick { 5 } else { 15 });
@@ -451,6 +514,7 @@ fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
             fleet10k_ctrl_ticks_per_sec(quick),
         ),
         ("chaos_events_per_sec", chaos_events_per_sec(quick)),
+        ("failover_ops_per_sec", failover.ops_per_sec(batches)),
         ("steady_cache_hit_rate", governor_cache_hit_rate()),
         ("par_workers", ic_par::pool().workers() as f64),
     ]
@@ -459,7 +523,7 @@ fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
 /// Encodes the trajectory metrics as one deterministic-layout JSON
 /// object (only the measurements themselves vary run to run).
 fn trajectory_json(quick: bool, metrics: &[(&'static str, f64)]) -> String {
-    let mut out = String::from("{\"schema\":\"ic-bench/kernels/v6\",\"mode\":");
+    let mut out = String::from("{\"schema\":\"ic-bench/kernels/v7\",\"mode\":");
     write_escaped(if quick { "quick" } else { "full" }, &mut out);
     for (key, value) in metrics {
         out.push(',');
@@ -538,6 +602,10 @@ fn main() {
     println!(
         "chaos_events                 {:>10.3} Mev/s  (B2 + OC3 fleets)",
         chaos_events_per_sec(true) / 1e6
+    );
+    println!(
+        "failover_ops                 {:>10.3} ops/s   (100k servers, 10k vms)",
+        FailoverFleet::new().ops_per_sec(5)
     );
     println!(
         "steady_cache_hit_rate        {:>10.3}",

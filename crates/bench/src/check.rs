@@ -67,7 +67,7 @@ enum Rule {
     Info,
 }
 
-/// Every key of the `ic-bench/kernels/v6` snapshot with its rule.
+/// Every key of the `ic-bench/kernels/v7` snapshot with its rule.
 const RULES: &[(&str, Rule)] = &[
     ("schema", Rule::ExactStr),
     ("mode", Rule::Info),
@@ -93,6 +93,7 @@ const RULES: &[(&str, Rule)] = &[
     ("fleet_snapshot_ns_per_vm", Rule::TimeCeiling),
     ("fleet10k_ctrl_ticks_per_sec", Rule::RateFloor),
     ("chaos_events_per_sec", Rule::RateFloor),
+    ("failover_ops_per_sec", Rule::RateFloor),
     ("steady_cache_hit_rate", Rule::HitRateFloor),
     ("par_workers", Rule::Info),
 ];
@@ -256,7 +257,7 @@ pub fn check(baseline: &str, current: &str) -> Result<CheckReport, String> {
 mod tests {
     use super::*;
 
-    const BASELINE: &str = r#"{"schema":"ic-bench/kernels/v6","mode":"quick","engine_events_per_sec":22918209.2,"engine_ms_per_100k_events":4.363,"engine_steady_events_per_sec":26229326.6,"engine_steady_allocs_per_event":0,"normal_ns_per_sample_v1":30.5,"normal_ns_per_sample_v2":5.6,"mgk_events_per_sec":8930852.6,"mgk_events_per_sec_v2":14500000.0,"mgk_boxed_events":0,"table11_wall_ms":1617.3,"sweep_runs_per_sec":6.6,"composed_ctrl_ticks_per_sec":120.0,"composed_ctrl_ticks_per_sec_v2":240.0,"fleet_snapshot_ns_per_vm":45.0,"fleet10k_ctrl_ticks_per_sec":300.0,"chaos_events_per_sec":1200000.0,"steady_cache_hit_rate":0.996,"par_workers":1}"#;
+    const BASELINE: &str = r#"{"schema":"ic-bench/kernels/v7","mode":"quick","engine_events_per_sec":22918209.2,"engine_ms_per_100k_events":4.363,"engine_steady_events_per_sec":26229326.6,"engine_steady_allocs_per_event":0,"normal_ns_per_sample_v1":30.5,"normal_ns_per_sample_v2":5.6,"mgk_events_per_sec":8930852.6,"mgk_events_per_sec_v2":14500000.0,"mgk_boxed_events":0,"table11_wall_ms":1617.3,"sweep_runs_per_sec":6.6,"composed_ctrl_ticks_per_sec":120.0,"composed_ctrl_ticks_per_sec_v2":240.0,"fleet_snapshot_ns_per_vm":45.0,"fleet10k_ctrl_ticks_per_sec":300.0,"chaos_events_per_sec":1200000.0,"failover_ops_per_sec":4500.0,"steady_cache_hit_rate":0.996,"par_workers":1}"#;
 
     #[test]
     fn identical_snapshot_passes_every_key() {
@@ -315,7 +316,7 @@ mod tests {
 
     #[test]
     fn schema_mismatch_and_missing_key_fail() {
-        let wrong_schema = BASELINE.replace("kernels/v6", "kernels/v5");
+        let wrong_schema = BASELINE.replace("kernels/v7", "kernels/v6");
         assert!(!check(BASELINE, &wrong_schema).unwrap().passed());
         let missing = BASELINE.replace("\"table11_wall_ms\":1617.3,", "");
         let report = check(BASELINE, &missing).unwrap();
@@ -358,6 +359,25 @@ mod tests {
         assert!(report
             .render()
             .contains("FAIL  fleet10k_ctrl_ticks_per_sec"));
+    }
+
+    #[test]
+    fn quadratic_failover_fails_the_gate() {
+        // A placement write that rescans the fleet turns each failover
+        // into O(servers x VMs): at 100k servers the rate drops by
+        // orders of magnitude, far past the 3x floor.
+        let quadratic = BASELINE.replace(
+            "\"failover_ops_per_sec\":4500.0",
+            "\"failover_ops_per_sec\":1.2",
+        );
+        let report = check(BASELINE, &quadratic).unwrap();
+        let failed: Vec<&str> = report
+            .results
+            .iter()
+            .filter(|r| !r.passed)
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(failed, ["failover_ops_per_sec"], "{}", report.render());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ic_obs::trace::{TraceHandle, TraceLevel};
 use ic_obs::ObsSinks;
 use ic_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Why a cluster operation failed.
@@ -40,21 +40,84 @@ impl std::error::Error for ClusterError {}
 /// could not be placed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailoverReport {
-    /// VMs successfully re-created elsewhere (old id → new host index).
+    /// VMs successfully re-created elsewhere (old id → new host index),
+    /// in ascending old-id order.
     pub recreated: Vec<(VmId, usize)>,
+    /// The fresh id each re-created VM runs under, parallel to
+    /// `recreated` (so also ascending: ids are issued in displacement
+    /// order).
+    pub new_ids: Vec<VmId>,
     /// VMs that found no capacity and are down.
     pub unplaced: Vec<VmId>,
 }
 
 /// A fleet of servers and the VMs placed on them.
+///
+/// Besides the authoritative state (servers, the VM table, placement
+/// settings, the id counter) the cluster keeps derived state that every
+/// mutator updates in place, so no placement write scans the fleet:
+///
+/// * `hosted` — the live VM ids per host, keyed `(host, id)`, so one
+///   host's VMs are a range read that comes back in ascending id order
+///   (the order the whole-table scan produced, which decides where each
+///   displaced VM lands and which fresh id it gets);
+/// * `healthy_pcores` / `allocated_vcores` — running integer totals
+///   behind an O(1) [`packing_density`](Self::packing_density).
+///
+/// The derived fields stay out of the serde form; deserializing goes
+/// through the authoritative-state form (`ClusterState`) and rebuilds
+/// them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(from = "ClusterState")]
 pub struct Cluster {
     servers: Vec<Server>,
     vms: BTreeMap<VmId, VmInstance>,
     policy: PlacementPolicy,
     oversub: Oversubscription,
     next_id: u64,
+    #[serde(skip)]
     sinks: ObsSinks,
+    #[serde(skip)]
+    hosted: BTreeSet<(usize, VmId)>,
+    #[serde(skip)]
+    healthy_pcores: u32,
+    #[serde(skip)]
+    allocated_vcores: u32,
+}
+
+/// The serde form of a [`Cluster`]: its authoritative state only.
+/// Converting back rebuilds the per-host index and the running totals.
+#[derive(Debug, Clone, Deserialize)]
+struct ClusterState {
+    servers: Vec<Server>,
+    vms: BTreeMap<VmId, VmInstance>,
+    policy: PlacementPolicy,
+    oversub: Oversubscription,
+    next_id: u64,
+}
+
+impl From<ClusterState> for Cluster {
+    fn from(state: ClusterState) -> Self {
+        let hosted = state.vms.values().map(|vm| (vm.host, vm.id)).collect();
+        let healthy_pcores = state
+            .servers
+            .iter()
+            .filter(|s| !s.is_failed())
+            .map(|s| s.spec().pcores())
+            .sum();
+        let allocated_vcores = state.vms.values().map(|vm| vm.spec.vcores()).sum();
+        Cluster {
+            servers: state.servers,
+            vms: state.vms,
+            policy: state.policy,
+            oversub: state.oversub,
+            next_id: state.next_id,
+            sinks: ObsSinks::none(),
+            hosted,
+            healthy_pcores,
+            allocated_vcores,
+        }
+    }
 }
 
 impl Cluster {
@@ -65,14 +128,13 @@ impl Cluster {
     /// Panics if `specs` is empty.
     pub fn new(specs: Vec<ServerSpec>, policy: PlacementPolicy, oversub: Oversubscription) -> Self {
         assert!(!specs.is_empty(), "a cluster needs servers");
-        Cluster {
+        Cluster::from(ClusterState {
             servers: specs.into_iter().map(Server::new).collect(),
             vms: BTreeMap::new(),
             policy,
             oversub,
             next_id: 0,
-            sinks: ObsSinks::none(),
-        }
+        })
     }
 
     /// Attaches a trace recorder: VM lifecycle (create, delete, failover
@@ -106,14 +168,47 @@ impl Cluster {
         self.sinks = sinks;
     }
 
+    /// Emits one cluster event. `fields` is only called when a sink is
+    /// attached, so untraced clusters build no field vectors.
     fn emit(
         &self,
         now: SimTime,
         level: TraceLevel,
         kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: impl FnOnce() -> Vec<(&'static str, Value)>,
     ) {
-        self.sinks.instant(now, "cluster", level, kind, fields);
+        if !self.sinks.is_quiet() {
+            self.sinks.instant(now, "cluster", level, kind, fields());
+        }
+    }
+
+    /// Allocates `spec` on `host` under a fresh id and records it in the
+    /// VM table, the per-host index, and the vcore total.
+    fn place(&mut self, spec: VmSpec, host: usize) -> VmId {
+        self.servers[host].allocate(spec.vcores(), spec.memory_gb());
+        let id = VmId(self.next_id);
+        self.next_id += 1;
+        self.vms.insert(id, VmInstance { id, spec, host });
+        self.hosted.insert((host, id));
+        self.allocated_vcores += spec.vcores();
+        id
+    }
+
+    /// Removes a VM from the VM table, the per-host index, and the
+    /// vcore total (its host's allocation is the caller's business).
+    fn unlink(&mut self, id: VmId) -> Option<VmInstance> {
+        let vm = self.vms.remove(&id)?;
+        self.hosted.remove(&(vm.host, id));
+        self.allocated_vcores -= vm.spec.vcores();
+        Some(vm)
+    }
+
+    /// The ids of the live VMs on `host`, ascending — a range read of
+    /// the per-host index.
+    fn hosted_ids(&self, host: usize) -> impl Iterator<Item = VmId> + '_ {
+        self.hosted
+            .range((host, VmId(0))..=(host, VmId(u64::MAX)))
+            .map(|&(_, id)| id)
     }
 
     /// The servers, in index order.
@@ -158,35 +253,26 @@ impl Cluster {
             {
                 Some(host) => host,
                 None => {
-                    self.emit(
-                        now,
-                        TraceLevel::Warn,
-                        "vm_reject",
+                    self.emit(now, TraceLevel::Warn, "vm_reject", || {
                         vec![
                             ("vcores", Value::U64(spec.vcores() as u64)),
                             ("memory_gb", Value::F64(spec.memory_gb())),
                             ("density", Value::F64(self.packing_density())),
-                        ],
-                    );
+                        ]
+                    });
                     return Err(ClusterError::InsufficientCapacity);
                 }
             };
-        self.servers[host].allocate(spec.vcores(), spec.memory_gb());
-        let id = VmId(self.next_id);
-        self.next_id += 1;
-        self.vms.insert(id, VmInstance { id, spec, host });
-        self.emit(
-            now,
-            TraceLevel::Info,
-            "vm_create",
+        let id = self.place(spec, host);
+        self.emit(now, TraceLevel::Info, "vm_create", || {
             vec![
                 ("vm", Value::U64(id.0)),
                 ("host", Value::U64(host as u64)),
                 ("vcores", Value::U64(spec.vcores() as u64)),
                 ("memory_gb", Value::F64(spec.memory_gb())),
                 ("density", Value::F64(self.packing_density())),
-            ],
-        );
+            ]
+        });
         Ok(id)
     }
 
@@ -196,22 +282,19 @@ impl Cluster {
     ///
     /// Returns [`ClusterError::UnknownVm`] if the id is not live.
     pub fn delete_vm(&mut self, now: SimTime, id: VmId) -> Result<(), ClusterError> {
-        let vm = self.vms.remove(&id).ok_or(ClusterError::UnknownVm)?;
+        let vm = self.unlink(id).ok_or(ClusterError::UnknownVm)?;
         // The host may have failed since placement; failed servers have
         // already zeroed their allocations.
         if !self.servers[vm.host].is_failed() {
             self.servers[vm.host].release(vm.spec.vcores(), vm.spec.memory_gb());
         }
-        self.emit(
-            now,
-            TraceLevel::Debug,
-            "vm_delete",
+        self.emit(now, TraceLevel::Debug, "vm_delete", || {
             vec![
                 ("vm", Value::U64(id.0)),
                 ("host", Value::U64(vm.host as u64)),
                 ("density", Value::F64(self.packing_density())),
-            ],
-        );
+            ]
+        });
         Ok(())
     }
 
@@ -225,9 +308,10 @@ impl Cluster {
         self.vms.len()
     }
 
-    /// All live VMs hosted on a server.
+    /// All live VMs hosted on a server, in ascending id order. Reads
+    /// only that host's VMs.
     pub fn vms_on(&self, host: usize) -> Vec<&VmInstance> {
-        self.vms.values().filter(|vm| vm.host == host).collect()
+        self.hosted_ids(host).map(|id| &self.vms[&id]).collect()
     }
 
     /// Fails a server and re-creates its VMs elsewhere (the paper's
@@ -246,28 +330,26 @@ impl Cluster {
         if index >= self.servers.len() {
             return Err(ClusterError::UnknownServer);
         }
-        self.servers[index].fail();
-        let displaced: Vec<VmInstance> = self
-            .vms
-            .values()
-            .filter(|vm| vm.host == index)
-            .cloned()
-            .collect();
-        self.emit(
-            now,
-            TraceLevel::Warn,
-            "server_fail",
+        if !self.servers[index].is_failed() {
+            self.servers[index].fail();
+            self.healthy_pcores -= self.servers[index].spec().pcores();
+        }
+        // Ascending id order, as the placement decisions below depend
+        // on it.
+        let displaced: Vec<VmId> = self.hosted_ids(index).collect();
+        self.emit(now, TraceLevel::Warn, "server_fail", || {
             vec![
                 ("server", Value::U64(index as u64)),
                 ("displaced_vms", Value::U64(displaced.len() as u64)),
-            ],
-        );
+            ]
+        });
         let mut report = FailoverReport {
-            recreated: Vec::new(),
+            recreated: Vec::with_capacity(displaced.len()),
+            new_ids: Vec::with_capacity(displaced.len()),
             unplaced: Vec::new(),
         };
-        for vm in displaced {
-            self.vms.remove(&vm.id);
+        for old in displaced {
+            let vm = self.unlink(old).expect("indexed VMs are live");
             match self.policy.choose(
                 &self.servers,
                 vm.spec.vcores(),
@@ -275,42 +357,27 @@ impl Cluster {
                 self.oversub,
             ) {
                 Some(host) => {
-                    self.servers[host].allocate(vm.spec.vcores(), vm.spec.memory_gb());
-                    let id = VmId(self.next_id);
-                    self.next_id += 1;
-                    self.vms.insert(
-                        id,
-                        VmInstance {
-                            id,
-                            spec: vm.spec,
-                            host,
-                        },
-                    );
-                    self.emit(
-                        now,
-                        TraceLevel::Info,
-                        "vm_migrate",
+                    let id = self.place(vm.spec, host);
+                    self.emit(now, TraceLevel::Info, "vm_migrate", || {
                         vec![
-                            ("vm", Value::U64(vm.id.0)),
+                            ("vm", Value::U64(old.0)),
                             ("from", Value::U64(index as u64)),
                             ("to", Value::U64(host as u64)),
                             ("new_vm", Value::U64(id.0)),
-                        ],
-                    );
-                    report.recreated.push((vm.id, host));
+                        ]
+                    });
+                    report.recreated.push((old, host));
+                    report.new_ids.push(id);
                 }
                 None => {
-                    self.emit(
-                        now,
-                        TraceLevel::Warn,
-                        "vm_unplaced",
+                    self.emit(now, TraceLevel::Warn, "vm_unplaced", || {
                         vec![
-                            ("vm", Value::U64(vm.id.0)),
+                            ("vm", Value::U64(old.0)),
                             ("from", Value::U64(index as u64)),
                             ("vcores", Value::U64(vm.spec.vcores() as u64)),
-                        ],
-                    );
-                    report.unplaced.push(vm.id);
+                        ]
+                    });
+                    report.unplaced.push(old);
                 }
             }
         }
@@ -333,31 +400,25 @@ impl Cluster {
             return Ok(());
         }
         self.servers[index].repair();
-        self.emit(
-            now,
-            TraceLevel::Info,
-            "server_repair",
-            vec![("server", Value::U64(index as u64))],
-        );
+        self.healthy_pcores += self.servers[index].spec().pcores();
+        self.emit(now, TraceLevel::Info, "server_repair", || {
+            vec![("server", Value::U64(index as u64))]
+        });
         Ok(())
     }
 
-    /// Total pcores across healthy servers.
+    /// Total pcores across healthy servers (a running total, O(1)).
     pub fn healthy_pcores(&self) -> u32 {
-        self.servers
-            .iter()
-            .filter(|s| !s.is_failed())
-            .map(|s| s.spec().pcores())
-            .sum()
+        self.healthy_pcores
     }
 
-    /// Total allocated vcores.
+    /// Total allocated vcores of the live VMs (a running total, O(1)).
     pub fn allocated_vcores(&self) -> u32 {
-        self.vms.values().map(|vm| vm.spec.vcores()).sum()
+        self.allocated_vcores
     }
 
     /// Packing density: allocated vcores per healthy pcore. Exceeds 1.0
-    /// only under oversubscription.
+    /// only under oversubscription. O(1): both sides are running totals.
     pub fn packing_density(&self) -> f64 {
         let pcores = self.healthy_pcores();
         if pcores == 0 {
@@ -465,6 +526,109 @@ mod tests {
         assert_eq!(report.recreated.len(), 0);
         assert_eq!(report.unplaced.len(), 1);
         assert_eq!(c.vm_count(), 1);
+    }
+
+    #[test]
+    fn failover_new_ids_ascend_parallel_to_recreated() {
+        // Server 0 hosts three VMs (FirstFit); failing it re-creates all
+        // three elsewhere under fresh, ascending ids.
+        let mut c = cluster(4, 16, 1.0);
+        let spec = VmSpec::new(4, 8.0);
+        let originals: Vec<VmId> = (0..6)
+            .map(|_| c.create_vm(SimTime::ZERO, spec).unwrap())
+            .collect();
+        let on_zero: Vec<VmId> = c.vms_on(0).iter().map(|vm| vm.id).collect();
+        assert_eq!(on_zero, originals[..4], "vms_on lists ascending ids");
+        let report = c.fail_server(SimTime::ZERO, 0).unwrap();
+        assert!(report.unplaced.is_empty());
+        assert_eq!(report.new_ids.len(), report.recreated.len());
+        let old: Vec<VmId> = report.recreated.iter().map(|&(id, _)| id).collect();
+        assert_eq!(old, on_zero, "displaced in ascending id order");
+        assert!(report.new_ids.windows(2).all(|w| w[0] < w[1]));
+        assert!(report.new_ids[0] > *originals.last().unwrap());
+        for (&(_, host), &new_id) in report.recreated.iter().zip(&report.new_ids) {
+            assert_eq!(c.vm(new_id).unwrap().host, host);
+            assert!(c.vms_on(host).iter().any(|vm| vm.id == new_id));
+        }
+        assert!(c.vms_on(0).is_empty());
+    }
+
+    /// The derived state as a from-scratch scan computes it: per-host
+    /// VM ids (ascending) and the two running totals.
+    fn scanned(c: &Cluster) -> (Vec<Vec<VmId>>, u32, u32) {
+        let hosts = (0..c.servers().len())
+            .map(|h| {
+                c.vms
+                    .values()
+                    .filter(|vm| vm.host == h)
+                    .map(|vm| vm.id)
+                    .collect()
+            })
+            .collect();
+        let pcores = c
+            .servers()
+            .iter()
+            .filter(|s| !s.is_failed())
+            .map(|s| s.spec().pcores())
+            .sum();
+        let vcores = c.vms.values().map(|vm| vm.spec.vcores()).sum();
+        (hosts, pcores, vcores)
+    }
+
+    #[test]
+    fn incremental_index_matches_full_scan_under_random_churn() {
+        use ic_sim::rng::SimRng;
+        for seed in [3, 17, 29] {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut c = cluster(6, 16, 1.25);
+            let mut live: Vec<VmId> = Vec::new();
+            for step in 0..400 {
+                let now = SimTime::from_secs(step);
+                match rng.index(5) {
+                    0 | 1 => {
+                        let spec = VmSpec::new(1 + rng.index(8) as u32, 4.0);
+                        if let Ok(id) = c.create_vm(now, spec) {
+                            live.push(id);
+                        }
+                    }
+                    2 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.index(live.len()));
+                        c.delete_vm(now, id).unwrap();
+                    }
+                    3 => {
+                        let report = c.fail_server(now, rng.index(6)).unwrap();
+                        live.retain(|id| c.vm(*id).is_some());
+                        live.extend(&report.new_ids);
+                    }
+                    _ => c.repair_server(now, rng.index(6)).unwrap(),
+                }
+                let (hosts, pcores, vcores) = scanned(&c);
+                for (h, ids) in hosts.iter().enumerate() {
+                    let indexed: Vec<VmId> = c.vms_on(h).iter().map(|vm| vm.id).collect();
+                    assert_eq!(&indexed, ids, "host {h} at step {step} (seed {seed})");
+                }
+                assert_eq!(c.healthy_pcores(), pcores);
+                assert_eq!(c.allocated_vcores(), vcores);
+                assert_eq!(c.vm_count(), live.len());
+            }
+        }
+    }
+
+    #[test]
+    fn derived_state_rebuilds_from_authoritative_state() {
+        let mut c = cluster(3, 16, 1.0);
+        for _ in 0..5 {
+            c.create_vm(SimTime::ZERO, VmSpec::new(4, 8.0)).unwrap();
+        }
+        c.fail_server(SimTime::ZERO, 0).unwrap();
+        let rebuilt = Cluster::from(ClusterState {
+            servers: c.servers.clone(),
+            vms: c.vms.clone(),
+            policy: c.policy,
+            oversub: c.oversub,
+            next_id: c.next_id,
+        });
+        assert_eq!(rebuilt, c);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::telemetry::VmTelemetry;
 use crate::telemetry::{
     ClusterTelemetry, DomainPower, FaultTelemetry, PowerTelemetry, TelemetrySnapshot,
 };
-use ic_cluster::cluster::Cluster;
+use ic_cluster::cluster::{Cluster, FailoverReport};
 use ic_cluster::placement::{Oversubscription, PlacementPolicy};
 use ic_cluster::server::ServerSpec;
 use ic_cluster::vm::{VmId, VmSpec};
@@ -349,26 +349,30 @@ impl FleetConfigBuilder {
 /// advanced on one clock.
 ///
 /// Serving VMs exist in both models: each live sim VM has a placement
-/// in the cluster (`vm_map`). Server failures displace placements; VMs
-/// the cluster cannot re-place are *parked* — removed from the serving
-/// sim and listed in [`ClusterTelemetry::parked_vms`] until a
-/// [`Action::Migrate`] finds them a new home.
+/// in the cluster (`vm_map`, with `vm_of` as its inverse). Server
+/// failures displace placements; VMs the cluster cannot re-place are
+/// *parked* — removed from the serving sim and listed in
+/// [`ClusterTelemetry::parked_vms`] until a [`Action::Migrate`] finds
+/// them a new home.
 pub struct FleetWorld {
     sim: ClientServerSim,
     cluster: Cluster,
     schedule: Vec<(f64, f64)>,
     next_step: usize,
     vm_spec: VmSpec,
-    /// Live sim VM → its cluster placement, in placement order.
-    vm_map: Vec<(u64, VmId)>,
+    /// Live sim VM → its cluster placement.
+    vm_map: BTreeMap<u64, VmId>,
+    /// Cluster placement → its live sim VM (the inverse of `vm_map`).
+    vm_of: BTreeMap<VmId, u64>,
     parked: Vec<u64>,
     budget_w: f64,
     domains: Vec<DomainSpec>,
     grants: BTreeMap<u64, f64>,
     /// The persistent snapshot [`World::telemetry`] hands out. VM rows
-    /// are refilled (allocation-free) each tick; the power section is
-    /// updated in place at actuation time; the cluster section is
-    /// recomputed only when `cluster_dirty` says placement state moved.
+    /// are refilled (allocation-free) each tick; the power and fault
+    /// sections and the failed-server list are updated in place at
+    /// actuation time; density and parked VMs are re-read only when
+    /// `cluster_dirty` says placement state moved.
     snap: TelemetrySnapshot,
     cluster_dirty: bool,
     power_model: Option<FleetPowerModel>,
@@ -510,13 +514,15 @@ impl FleetWorld {
                 Oversubscription::none()
             },
         );
-        let mut vm_map = Vec::new();
+        let mut vm_map = BTreeMap::new();
+        let mut vm_of = BTreeMap::new();
         for _ in 0..config.initial_vms {
             let vm = sim.add_vm() as u64;
             let cid = cluster
                 .create_vm(SimTime::ZERO, config.vm_spec)
                 .expect("cluster holds the initial fleet");
-            vm_map.push((vm, cid));
+            vm_map.insert(vm, cid);
+            vm_of.insert(cid, vm);
         }
         // In-place power-row updates binary-search by domain id, so the
         // spec order must be ascending (it doubles as the stable
@@ -559,7 +565,7 @@ impl FleetWorld {
                 .collect(),
         });
         snap.cluster = Some(ClusterTelemetry {
-            healthy_servers: 0,
+            healthy_servers: config.servers,
             failed_servers: Vec::new(),
             packing_density: 0.0,
             parked_vms: Vec::new(),
@@ -575,6 +581,7 @@ impl FleetWorld {
             next_step: 0,
             vm_spec: config.vm_spec,
             vm_map,
+            vm_of,
             parked: Vec::new(),
             budget_w: config.budget_w,
             domains: config.domains,
@@ -769,26 +776,36 @@ impl FleetWorld {
         power.version += 1;
     }
 
-    /// Re-points `vm_map` after a failover: cluster ids that vanished
-    /// were either re-created under fresh ids (matched here, in id
-    /// order — the cluster allocates new ids in displacement order) or
-    /// reported unplaced (handled by the caller).
-    fn remap_recreated(&mut self, recreated: &[(VmId, usize)]) {
-        if recreated.is_empty() {
-            return;
-        }
-        let known: Vec<VmId> = self.vm_map.iter().map(|&(_, cid)| cid).collect();
-        let mut fresh: Vec<VmId> = (0..self.cluster.servers().len())
-            .flat_map(|h| self.cluster.vms_on(h))
-            .map(|vm| vm.id)
-            .filter(|id| !known.contains(id))
-            .collect();
-        fresh.sort();
-        for (&(old, _), &new_id) in recreated.iter().zip(&fresh) {
-            if let Some(entry) = self.vm_map.iter_mut().find(|(_, cid)| *cid == old) {
-                entry.1 = new_id;
+    /// Records that sim VM `vm` is placed as cluster VM `cid`.
+    fn link(&mut self, vm: u64, cid: VmId) {
+        self.vm_map.insert(vm, cid);
+        self.vm_of.insert(cid, vm);
+    }
+
+    /// Re-points the VM maps after a failover: every re-created
+    /// placement keeps its sim VM under the fresh id the cluster
+    /// reported for it. O(displaced · log VMs) — no fleet scan.
+    fn remap_recreated(&mut self, report: &FailoverReport) {
+        for (&(old, _), &new_id) in report.recreated.iter().zip(&report.new_ids) {
+            if let Some(vm) = self.vm_of.remove(&old) {
+                self.link(vm, new_id);
             }
         }
+    }
+
+    /// Keeps the snapshot's sorted failed-server list (and the healthy
+    /// count) current across one server's fail/repair transition —
+    /// O(failed servers), where a rescan would be O(fleet).
+    fn set_server_failed(&mut self, server: usize, failed: bool) {
+        let cluster = self.snap.cluster.as_mut().expect("fleet models placement");
+        match cluster.failed_servers.binary_search(&server) {
+            Err(pos) if failed => cluster.failed_servers.insert(pos, server),
+            Ok(pos) if !failed => {
+                cluster.failed_servers.remove(pos);
+            }
+            _ => {}
+        }
+        cluster.healthy_servers = self.cluster.servers().len() - cluster.failed_servers.len();
     }
 }
 
@@ -848,17 +865,10 @@ impl World for FleetWorld {
             }
         }
         if self.cluster_dirty {
+            // The failed-server list is kept current by fail/repair
+            // themselves; density is an O(1) read of the cluster's
+            // running totals.
             let cluster = self.snap.cluster.as_mut().expect("fleet models placement");
-            cluster.failed_servers.clear();
-            cluster.failed_servers.extend(
-                self.cluster
-                    .servers()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.is_failed())
-                    .map(|(i, _)| i),
-            );
-            cluster.healthy_servers = self.cluster.servers().len() - cluster.failed_servers.len();
             cluster.packing_density = self.cluster.packing_density();
             cluster.parked_vms.clear();
             cluster.parked_vms.extend_from_slice(&self.parked);
@@ -872,8 +882,8 @@ impl World for FleetWorld {
             Action::ScaleIn { vm } => {
                 let outcome = apply_to_sim(&mut self.sim, action);
                 if outcome.accepted() {
-                    if let Some(pos) = self.vm_map.iter().position(|&(v, _)| v == *vm) {
-                        let (_, cid) = self.vm_map.remove(pos);
+                    if let Some(cid) = self.vm_map.remove(vm) {
+                        self.vm_of.remove(&cid);
                         let _ = self.cluster.delete_vm(now, cid);
                         self.cluster_dirty = true;
                     }
@@ -917,11 +927,12 @@ impl World for FleetWorld {
                     if self.down_since[*server].is_none() {
                         self.down_since[*server] = Some(now);
                         self.failures_applied += 1;
+                        self.set_server_failed(*server, true);
                     }
-                    self.remap_recreated(&report.recreated);
+                    self.remap_recreated(&report);
                     for cid in &report.unplaced {
-                        if let Some(pos) = self.vm_map.iter().position(|&(_, c)| c == *cid) {
-                            let (vm, _) = self.vm_map.remove(pos);
+                        if let Some(vm) = self.vm_of.remove(cid) {
+                            self.vm_map.remove(&vm);
                             self.sim.remove_vm(vm as usize);
                             self.parked.push(vm);
                         }
@@ -942,6 +953,7 @@ impl World for FleetWorld {
                     // only a real repair settles the open interval.
                     if let Some(t0) = self.down_since[*server].take() {
                         self.downtime_s += (now.as_secs_f64() - t0.as_secs_f64()).max(0.0);
+                        self.set_server_failed(*server, false);
                     }
                     self.cluster_dirty = true;
                     Outcome::Applied
@@ -961,7 +973,7 @@ impl World for FleetWorld {
                         self.parked.remove(pos);
                         let host = self.cluster.vm(cid).map(|v| v.host).unwrap_or(0);
                         let new_vm = self.sim.add_vm() as u64;
-                        self.vm_map.push((new_vm, cid));
+                        self.link(new_vm, cid);
                         self.cluster_dirty = true;
                         self.recovered_vms += 1;
                         Outcome::Migrated {
@@ -983,7 +995,9 @@ impl World for FleetWorld {
                     if faults.fleet_ratio != *ratio {
                         faults.fleet_ratio = *ratio;
                         faults.version += 1;
-                        self.snap.faults = Some(faults.telemetry());
+                        let snap = self.snap.faults.as_mut().expect("fault section present");
+                        snap.fleet_ratio = faults.fleet_ratio;
+                        snap.version = faults.version;
                     }
                 }
                 apply_to_sim(&mut self.sim, action)
@@ -1000,9 +1014,15 @@ impl World for FleetWorld {
                     };
                 };
                 *slot += count;
+                let errors = *slot;
                 faults.error_bursts += 1;
                 faults.version += 1;
-                self.snap.faults = Some(faults.telemetry());
+                // Mirror the three changed fields in place: cloning the
+                // whole per-server vector per burst would be O(fleet).
+                let snap = self.snap.faults.as_mut().expect("fault section present");
+                snap.errors_by_server[*server] = errors;
+                snap.error_bursts = faults.error_bursts;
+                snap.version = faults.version;
                 Outcome::Applied
             }
             Action::FreezeTelemetry { until } => {
@@ -1035,7 +1055,7 @@ impl World for FleetWorld {
         match self.cluster.create_vm(now, self.vm_spec) {
             Ok(cid) => {
                 let vm = self.sim.add_vm() as u64;
-                self.vm_map.push((vm, cid));
+                self.link(vm, cid);
                 self.cluster_dirty = true;
                 Outcome::VmCreated { vm }
             }
@@ -1418,6 +1438,92 @@ mod tests {
                 .faults(FaultConfig::disabled())
                 .build();
             check_incremental_matches_recompute(FleetWorld::new(config), seed, 160);
+        }
+    }
+
+    /// Asserts that `vm_map`/`vm_of` are mutually inverse and pair the
+    /// serving sim's live VMs one-for-one with the cluster's placements,
+    /// and that no parked VM is still mapped.
+    fn assert_vm_maps_are_a_bijection(world: &FleetWorld, context: &str) {
+        assert_eq!(world.vm_map.len(), world.vm_of.len(), "{context}");
+        assert_eq!(world.vm_map.len(), world.cluster.vm_count(), "{context}");
+        for (&vm, &cid) in &world.vm_map {
+            assert_eq!(world.vm_of.get(&cid), Some(&vm), "{context}: inverse");
+            assert!(
+                world.cluster.vm(cid).is_some(),
+                "{context}: {cid} not placed"
+            );
+        }
+        let mut serving: Vec<u64> = world.sim.active_ids().iter().map(|&v| v as u64).collect();
+        serving.sort_unstable();
+        let mapped: Vec<u64> = world.vm_map.keys().copied().collect();
+        assert_eq!(serving, mapped, "{context}: serving VMs vs placements");
+        assert!(
+            world.parked.iter().all(|vm| !world.vm_map.contains_key(vm)),
+            "{context}: a parked VM is still placed"
+        );
+    }
+
+    #[test]
+    fn placement_writes_keep_vm_maps_and_snapshot_consistent() {
+        // 64 servers with room for two 24-vcore VMs each (128 slots),
+        // 110 of them full at t = 0: a handful of failures exhausts the
+        // spare slots, so later failovers park VMs and migrations
+        // compete for what repairs free up.
+        const SERVERS: usize = 64;
+        for seed in [2, 19, 71] {
+            let config = FleetConfigBuilder::small(seed)
+                .servers(SERVERS)
+                .oversub(1.0)
+                .vm_spec(VmSpec::new(24, 64.0))
+                .initial_vms(110)
+                .schedule(vec![(0.0, 2000.0)])
+                .faults(FaultConfig::disabled())
+                .build();
+            let mut world = FleetWorld::new(config);
+            let mut rng = ic_sim::rng::SimRng::seed_from_u64(seed);
+            let mut t = SimTime::ZERO;
+            let (mut parked_peak, mut recreated, mut migrated) = (0, 0, 0);
+            for step in 0..600 {
+                t += SimDuration::from_millis(200);
+                world.advance_to(t);
+                let outcome = match rng.index(6) {
+                    0 | 1 => {
+                        let server = rng.index(SERVERS);
+                        world.apply(t, "prop", &Action::FailServer { server })
+                    }
+                    2 => {
+                        let server = rng.index(SERVERS);
+                        world.apply(t, "prop", &Action::RepairServer { server })
+                    }
+                    3 => match world.parked().first() {
+                        Some(&vm) => world.apply(t, "prop", &Action::Migrate { vm }),
+                        None => world.complete_scale_out(t),
+                    },
+                    4 => world.complete_scale_out(t),
+                    _ => {
+                        let vms = world.sim().active_ids();
+                        match vms.get(rng.index(vms.len().max(1))) {
+                            Some(&vm) => world.apply(t, "prop", &Action::ScaleIn { vm: vm as u64 }),
+                            None => world.complete_scale_out(t),
+                        }
+                    }
+                };
+                match outcome {
+                    Outcome::FailedOver { recreated: r, .. } => recreated += r,
+                    Outcome::Migrated { .. } => migrated += 1,
+                    _ => {}
+                }
+                parked_peak = parked_peak.max(world.parked().len());
+                let context = format!("step {step} (seed {seed}): {outcome:?}");
+                assert_vm_maps_are_a_bijection(&world, &context);
+                let expect = world.recompute_snapshot(t);
+                assert_eq!(world.telemetry(t), &expect, "{context}");
+            }
+            // The sequence really exercised every placement write.
+            assert!(recreated > 0, "seed {seed}: no failover re-created a VM");
+            assert!(parked_peak > 0, "seed {seed}: capacity never ran out");
+            assert!(migrated > 0, "seed {seed}: no parked VM came back");
         }
     }
 

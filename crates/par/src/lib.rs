@@ -132,8 +132,12 @@ impl ParPool {
                         let mut local: Vec<(usize, R)> = Vec::new();
                         loop {
                             // Own work first (front), then steal from a
-                            // victim's back.
-                            let next = deques[w].lock().unwrap().pop_front().or_else(|| {
+                            // victim's back. The own-deque guard must be
+                            // dropped before a victim is locked: two idle
+                            // workers each holding their own lock while
+                            // reaching for the other's would deadlock.
+                            let own = deques[w].lock().unwrap().pop_front();
+                            let next = own.or_else(|| {
                                 (1..workers).find_map(|d| {
                                     deques[(w + d) % workers].lock().unwrap().pop_back()
                                 })
@@ -238,6 +242,20 @@ mod tests {
         for workers in [1, 2, 3, 8, 64] {
             let got = ParPool::with_workers(workers).scatter_gather(tasks.clone(), skewed);
             assert_eq!(got, serial, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn idle_workers_steal_without_deadlock() {
+        // Two one-task workers run dry at nearly the same instant and
+        // both go stealing: the interleaving in which a worker still
+        // holding its own deque lock reaches for its victim's deadlocks.
+        // The window is narrow, so the round count is what makes a
+        // regression hang this test with high probability.
+        let pool = ParPool::with_workers(2);
+        for round in 0..50_000u64 {
+            let out = pool.scatter_gather(vec![round, round + 1], |_, x| x);
+            assert_eq!(out, [round, round + 1]);
         }
     }
 
