@@ -16,10 +16,8 @@
 use crate::policy::{AscConfig, Policy, ScalingMetric};
 use ic_controlplane::fleet::{apply_to_sim, sim_complete_scale_out, sim_snapshot};
 use ic_controlplane::{Action, Controller, FreqTarget, Outcome, TelemetrySnapshot};
-use ic_obs::flight::FlightHandle;
 use ic_obs::json::Value;
-use ic_obs::metrics::MetricsHandle;
-use ic_obs::trace::{TraceHandle, TraceLevel};
+use ic_obs::trace::TraceLevel;
 use ic_obs::ObsSinks;
 use ic_sim::stats::SlidingWindow;
 use ic_sim::time::{SimDuration, SimTime};
@@ -101,44 +99,16 @@ impl AutoScaler {
         }
     }
 
-    /// Attaches the full observability bundle in one call (see the
-    /// per-sink `attach_*` methods for what each records).
+    /// Attaches the observability bundle. With a flight recorder,
+    /// every controller transition — scale-out initiation/completion,
+    /// scale-in, frequency change — lands as an instant carrying its
+    /// Equation-1 inputs and outputs, and each decision step leaves a
+    /// `Debug`-level instant. With a metrics registry, the controller
+    /// keeps decision counters (`asc_decisions_total{kind}`), the
+    /// active-VM and frequency-ratio gauges, and a utilization histogram
+    /// (`asc_step_util`).
     pub fn attach_sinks(&mut self, sinks: ObsSinks) {
         self.sinks = sinks;
-    }
-
-    /// Attaches a trace recorder: every controller transition —
-    /// scale-out initiation/completion, scale-in, frequency change —
-    /// is emitted with its Equation-1 inputs and outputs, and each
-    /// decision step leaves a `Debug`-level record.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.sinks.set_trace(trace);
-    }
-
-    /// Attaches a metrics registry: decision counters
-    /// (`asc_decisions_total{kind}`), the active-VM and frequency-ratio
-    /// gauges, and a utilization histogram (`asc_step_util`).
-    pub fn attach_metrics(&mut self, metrics: MetricsHandle) {
-        self.sinks.set_metrics(metrics);
-    }
-
-    /// Attaches a flight recorder: every emitted controller transition
-    /// is mirrored as an instant on the flight timeline (same kinds and
-    /// fields as [`attach_trace`](Self::attach_trace)), so scale
-    /// decisions and Equation-1 evaluations line up with engine phases
-    /// and runner windows in the exported trace.
-    pub fn attach_flight(&mut self, flight: FlightHandle) {
-        self.sinks.set_flight(flight);
-    }
-
-    fn emit(
-        &self,
-        now: SimTime,
-        level: TraceLevel,
-        kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) {
-        self.sinks.instant(now, "asc", level, kind, fields);
     }
 
     /// The policy in force.
@@ -256,9 +226,10 @@ impl Controller for AutoScaler {
         "asc"
     }
 
-    /// One decision step over the shared snapshot. Emits the same trace
-    /// stream as ever; the returned actions land on the world in
-    /// decision order (scale first, then any frequency change).
+    /// One decision step over the shared snapshot. Emits its decision
+    /// instants through the attached sinks; the returned actions land on
+    /// the world in decision order (scale first, then any frequency
+    /// change).
     fn observe(&mut self, snapshot: &TelemetrySnapshot) -> Vec<Action> {
         let now = snapshot.now;
         let mut actions = Vec::new();
@@ -343,17 +314,15 @@ impl Controller for AutoScaler {
                 self.scale_outs += 1;
                 scaled_out = true;
                 actions.push(self.scale_out_action());
-                self.emit(
-                    now,
-                    TraceLevel::Info,
-                    "scale_out",
-                    vec![
-                        ("out_signal", Value::F64(out_signal)),
-                        ("threshold", Value::F64(self.config.scale_out_threshold)),
-                        ("active_vms", Value::U64(active.len() as u64)),
-                        ("latency_s", Value::F64(self.config.scale_out_latency_s)),
-                    ],
-                );
+                self.sinks
+                    .instant(now, "asc", TraceLevel::Info, "scale_out", || {
+                        vec![
+                            ("out_signal", Value::F64(out_signal)),
+                            ("threshold", Value::F64(self.config.scale_out_threshold)),
+                            ("active_vms", Value::U64(active.len() as u64)),
+                            ("latency_s", Value::F64(self.config.scale_out_latency_s)),
+                        ]
+                    });
             } else if out_util < self.config.scale_in_threshold
                 && active.len() > self.config.min_vms
             {
@@ -365,17 +334,15 @@ impl Controller for AutoScaler {
                     scaled_in = true;
                     self.last_topology_change = Some(now);
                     self.reset_windows();
-                    self.emit(
-                        now,
-                        TraceLevel::Info,
-                        "scale_in",
-                        vec![
-                            ("vm", Value::U64(vm)),
-                            ("out_util", Value::F64(out_util)),
-                            ("threshold", Value::F64(self.config.scale_in_threshold)),
-                            ("active_vms", Value::U64((active.len() - 1) as u64)),
-                        ],
-                    );
+                    self.sinks
+                        .instant(now, "asc", TraceLevel::Info, "scale_in", || {
+                            vec![
+                                ("vm", Value::U64(vm)),
+                                ("out_util", Value::F64(out_util)),
+                                ("threshold", Value::F64(self.config.scale_in_threshold)),
+                                ("active_vms", Value::U64((active.len() - 1) as u64)),
+                            ]
+                        });
                 }
             }
         }
@@ -403,18 +370,16 @@ impl Controller for AutoScaler {
                 1.0,
             )
             .clamp(0.0, 1.0);
-            self.emit(
-                now,
-                TraceLevel::Info,
-                "freq_change",
-                vec![
-                    ("old_ratio", Value::F64(self.current_ratio)),
-                    ("new_ratio", Value::F64(new_ratio)),
-                    ("up_util", Value::F64(up_util)),
-                    ("productivity", Value::F64(productivity)),
-                    ("util_at_base", Value::F64(util_at_base)),
-                ],
-            );
+            self.sinks
+                .instant(now, "asc", TraceLevel::Info, "freq_change", || {
+                    vec![
+                        ("old_ratio", Value::F64(self.current_ratio)),
+                        ("new_ratio", Value::F64(new_ratio)),
+                        ("up_util", Value::F64(up_util)),
+                        ("productivity", Value::F64(productivity)),
+                        ("util_at_base", Value::F64(util_at_base)),
+                    ]
+                });
             self.current_ratio = new_ratio;
             actions.push(Action::SetFrequency {
                 target: FreqTarget::Fleet,
@@ -432,19 +397,17 @@ impl Controller for AutoScaler {
             scaled_out,
             scaled_in,
         };
-        self.emit(
-            now,
-            TraceLevel::Debug,
-            "step",
-            vec![
-                ("instant_util", Value::F64(step.instant_util)),
-                ("out_util", Value::F64(step.out_window_util)),
-                ("up_util", Value::F64(step.up_window_util)),
-                ("productivity", Value::F64(productivity)),
-                ("freq_ratio", Value::F64(step.freq_ratio)),
-                ("active_vms", Value::U64(step.active_vms as u64)),
-            ],
-        );
+        self.sinks
+            .instant(now, "asc", TraceLevel::Debug, "step", || {
+                vec![
+                    ("instant_util", Value::F64(step.instant_util)),
+                    ("out_util", Value::F64(step.out_window_util)),
+                    ("up_util", Value::F64(step.up_window_util)),
+                    ("productivity", Value::F64(productivity)),
+                    ("freq_ratio", Value::F64(step.freq_ratio)),
+                    ("active_vms", Value::U64(step.active_vms as u64)),
+                ]
+            });
         if let Some(metrics) = self.sinks.metrics() {
             let mut m = metrics.borrow_mut();
             m.counter_add("asc_decisions_total{step}", 1);
@@ -478,16 +441,14 @@ impl Controller for AutoScaler {
                 // topology change can interleave while a creation is
                 // pending), so the post-maturation count is len + 1.
                 let active_vms = self.last_samples.len() as u64 + 1;
-                self.emit(
-                    now,
-                    TraceLevel::Info,
-                    "scale_out_complete",
-                    vec![
-                        ("vm", Value::U64(*vm)),
-                        ("active_vms", Value::U64(active_vms)),
-                        ("freq_ratio", Value::F64(self.current_ratio)),
-                    ],
-                );
+                self.sinks
+                    .instant(now, "asc", TraceLevel::Info, "scale_out_complete", || {
+                        vec![
+                            ("vm", Value::U64(*vm)),
+                            ("active_vms", Value::U64(active_vms)),
+                            ("freq_ratio", Value::F64(self.current_ratio)),
+                        ]
+                    });
                 vec![
                     Action::SetFrequency {
                         target: FreqTarget::Vm(*vm),

@@ -19,8 +19,7 @@ use ic_controlplane::{
 use ic_obs::engine_obs::EngineSpans;
 use ic_obs::flight::{FlightHandle, FlightRecorder};
 use ic_obs::json::Value;
-use ic_obs::metrics::MetricsHandle;
-use ic_obs::trace::{TraceHandle, TraceLevel};
+use ic_obs::trace::TraceLevel;
 use ic_obs::ObsSinks;
 use ic_power::units::{Frequency, Voltage};
 use ic_power::vf::VfCurve;
@@ -305,39 +304,19 @@ impl Runner {
         }
     }
 
-    /// Attaches the full observability bundle in one call (see the
-    /// per-sink `with_*` builders for what each records).
+    /// Attaches the observability bundle (shared with the auto-scaler).
+    ///
+    /// A flight recorder gets a run-level span wrapping one
+    /// `runner`/`step` span per decision window, per-event-kind engine
+    /// phases (via [`EngineSpans`]) flushed each window onto their own
+    /// tracks, and the auto-scaler's decision instants. All timestamps
+    /// are simulation time, so same-seed runs export byte-identical
+    /// traces. A metrics registry gets the auto-scaler's counters plus
+    /// `runner_p95_latency_s`, `runner_vm_hours`, `runner_max_vms`, and
+    /// `runner_avg_power_w` gauges, so a summary can be printed from the
+    /// registry alone.
     pub fn with_sinks(mut self, sinks: ObsSinks) -> Self {
         self.sinks = sinks;
-        self
-    }
-
-    /// Routes the auto-scaler's structured trace events into `trace`.
-    /// Events are keyed by simulation time and recorder sequence only,
-    /// so two same-seed runs emit byte-identical streams.
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.sinks.set_trace(trace);
-        self
-    }
-
-    /// Records controller and run-level metrics into `metrics`; besides
-    /// the auto-scaler's own counters, the runner leaves
-    /// `runner_p95_latency_s`, `runner_vm_hours`, `runner_max_vms`, and
-    /// `runner_avg_power_w` gauges so a summary can be printed from the
-    /// registry alone.
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
-        self.sinks.set_metrics(metrics);
-        self
-    }
-
-    /// Records the run on a flight recorder: a run-level span wrapping
-    /// one `runner`/`step` span per decision window, per-event-kind
-    /// engine phases (via [`EngineSpans`]) flushed each window onto
-    /// their own tracks, and the auto-scaler's decision instants. All
-    /// timestamps are simulation time, so same-seed runs export
-    /// byte-identical traces.
-    pub fn with_flight(mut self, flight: FlightHandle) -> Self {
-        self.sinks.set_flight(flight);
         self
     }
 
@@ -434,32 +413,30 @@ impl Runner {
     }
 }
 
+/// Ring capacity for each batched run's task-local flight recorder.
+const TASK_FLIGHT_CAPACITY: usize = 1 << 16;
+
 /// Runs a batch of `(config, policy, seed)` experiments through the
 /// deterministic scatter-gather pool ([`ic_par::pool`]) and returns the
 /// results **in input order**. Each run is a pure function of its tuple
 /// (the whole simulation derives from the explicit seed), so the output
-/// is byte-identical for any `IC_PAR_WORKERS` setting. Metrics cannot
-/// be attached to batched runs; for flight-recorded batches see
-/// [`run_batch_traced`], and use [`Runner`] directly for fully
-/// instrumented single runs.
-pub fn run_batch(tasks: Vec<(RunnerConfig, Policy, u64)>) -> Vec<RunResult> {
-    ic_par::pool().scatter_gather(tasks, |_, (config, policy, seed)| {
-        Runner::new(config, policy, seed).run()
-    })
-}
-
-/// Ring capacity for each batched run's task-local flight recorder.
-const TASK_FLIGHT_CAPACITY: usize = 1 << 16;
-
-/// [`run_batch`] with flight recording: each run records into its own
-/// task-local recorder (see [`ic_par::ParPool::scatter_gather_traced`])
-/// and the finished recorders are absorbed into `flight` **in
-/// submission order**, labeled `<policy>#<seed>`, so the merged trace
-/// is byte-identical for any worker count.
-pub fn run_batch_traced(
+/// is byte-identical for any `IC_PAR_WORKERS` setting.
+///
+/// With `flight`, each run records into its own task-local recorder
+/// (see [`ic_par::ParPool::scatter_gather_traced`]) and the finished
+/// recorders are absorbed into `flight` **in submission order**,
+/// labeled `<policy>#<seed>`, so the merged trace is byte-identical for
+/// any worker count. Metrics cannot be attached to batched runs; use
+/// [`Runner`] directly for fully instrumented single runs.
+pub fn run_batch(
     tasks: Vec<(RunnerConfig, Policy, u64)>,
-    flight: &FlightHandle,
+    flight: Option<&FlightHandle>,
 ) -> Vec<RunResult> {
+    let Some(flight) = flight else {
+        return ic_par::pool().scatter_gather(tasks, |_, (config, policy, seed)| {
+            Runner::new(config, policy, seed).run()
+        });
+    };
     let labels: Vec<String> = tasks
         .iter()
         .map(|(_, policy, seed)| format!("{}#{}", policy.label(), seed))
@@ -469,7 +446,7 @@ pub fn run_batch_traced(
         TASK_FLIGHT_CAPACITY,
         |_, (config, policy, seed), task_flight| {
             Runner::new(config, policy, seed)
-                .with_flight(task_flight.clone())
+                .with_sinks(ObsSinks::none().with_flight(task_flight.clone()))
                 .run()
         },
     );
@@ -502,30 +479,19 @@ pub fn sweep_asc_configs(
                 (cfg, policy, seed)
             })
             .collect(),
+        None,
     )
 }
 
 /// Runs all three Table XI policies on the same seed (in parallel, via
-/// [`run_batch`]) and returns `(baseline, oc_e, oc_a)`.
-pub fn table11_runs(config: RunnerConfig, seed: u64) -> (RunResult, RunResult, RunResult) {
-    let mut results = run_batch(vec![
-        (config.clone(), Policy::Baseline, seed),
-        (config.clone(), Policy::OcE, seed),
-        (config, Policy::OcA, seed),
-    ]);
-    let oc_a = results.pop().expect("three results");
-    let oc_e = results.pop().expect("three results");
-    let baseline = results.pop().expect("three results");
-    (baseline, oc_e, oc_a)
-}
-
-/// [`table11_runs`] with flight recording (see [`run_batch_traced`]).
-pub fn table11_runs_traced(
+/// [`run_batch`], recording onto `flight` when given) and returns
+/// `(baseline, oc_e, oc_a)`.
+pub fn table11_runs(
     config: RunnerConfig,
     seed: u64,
-    flight: &FlightHandle,
+    flight: Option<&FlightHandle>,
 ) -> (RunResult, RunResult, RunResult) {
-    let mut results = run_batch_traced(
+    let mut results = run_batch(
         vec![
             (config.clone(), Policy::Baseline, seed),
             (config.clone(), Policy::OcE, seed),
@@ -612,7 +578,7 @@ mod tests {
             .cloned()
             .map(|(c, p, s)| Runner::new(c, p, s).run())
             .collect();
-        let batch = run_batch(tasks);
+        let batch = run_batch(tasks, None);
         assert_eq!(batch.len(), serial.len());
         for (a, b) in serial.iter().zip(&batch) {
             assert_eq!(a.policy, b.policy);
@@ -629,7 +595,7 @@ mod tests {
         let cfg = quick_config();
         let windows = (cfg.duration_s() / cfg.asc.decision_period_s).round() as u64;
         let r = Runner::new(cfg, Policy::OcA, 3)
-            .with_flight(flight.clone())
+            .with_sinks(ObsSinks::none().with_flight(flight.clone()))
             .run();
         assert!(r.completed > 0);
         let rec = flight.borrow();
@@ -669,7 +635,7 @@ mod tests {
                 TASK_FLIGHT_CAPACITY,
                 |_, (config, policy, seed), task_flight| {
                     Runner::new(config, policy, seed)
-                        .with_flight(task_flight.clone())
+                        .with_sinks(ObsSinks::none().with_flight(task_flight.clone()))
                         .run()
                 },
             );
@@ -734,7 +700,7 @@ mod tests {
 
     #[test]
     fn overclocking_policies_beat_baseline_tail() {
-        let (base, oce, oca) = table11_runs(quick_config(), 7);
+        let (base, oce, oca) = table11_runs(quick_config(), 7, None);
         assert!(
             oce.p95_latency_s < base.p95_latency_s,
             "OC-E {} vs baseline {}",
@@ -751,7 +717,7 @@ mod tests {
 
     #[test]
     fn oca_consumes_no_more_vm_hours() {
-        let (base, _oce, oca) = table11_runs(quick_config(), 11);
+        let (base, _oce, oca) = table11_runs(quick_config(), 11, None);
         assert!(oca.vm_hours <= base.vm_hours + 1e-9);
     }
 

@@ -291,7 +291,7 @@ fn sweep_runs_per_sec(quick: bool) -> f64 {
         .collect();
     let n = tasks.len() as f64;
     let start = Instant::now();
-    black_box(run_batch(tasks));
+    black_box(run_batch(tasks, None));
     n / start.elapsed().as_secs_f64()
 }
 
@@ -358,7 +358,7 @@ fn chaos_events_per_sec(quick: bool) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..3 {
         let start = Instant::now();
-        let (events, metrics) = chaos::chaos_record(StreamVersion::V1, quick);
+        let (events, metrics) = chaos::chaos_record(StreamVersion::V1, quick, None);
         let secs = start.elapsed().as_secs_f64();
         black_box(metrics);
         best = best.max(events as f64 / secs);

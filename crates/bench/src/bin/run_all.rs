@@ -128,11 +128,8 @@ fn run() -> Result<(), String> {
         .as_ref()
         .map(|_| shared_flight_from_env(TRACE_CAPACITY));
     if args.json {
-        let records = match &flight {
-            Some(flight) => registry::run_selected_traced(&scenario, mode, args.jobs, only, flight),
-            None => registry::run_selected(&scenario, mode, args.jobs, only),
-        }
-        .map_err(|e| e.to_string())?;
+        let records = registry::run_selected(&scenario, mode, args.jobs, only, flight.as_ref())
+            .map_err(|e| e.to_string())?;
         let mut out = String::new();
         for record in records {
             out.push_str(&record.to_json());
@@ -146,20 +143,20 @@ fn run() -> Result<(), String> {
         // The text report comes from `render`; the trace needs the
         // instrumented measurement pass, so run it separately. stdout
         // stays byte-identical to an untraced run either way.
-        if let Some(flight) = &flight {
-            registry::run_selected_traced(&scenario, mode, args.jobs, only, flight)
+        if flight.is_some() {
+            registry::run_selected(&scenario, mode, args.jobs, only, flight.as_ref())
                 .map_err(|e| e.to_string())?;
         }
     }
     if let (Some(path), Some(flight)) = (&args.trace_out, &flight) {
         let chrome = args.trace_format.unwrap_or(TraceFormat::Chrome) == TraceFormat::Chrome;
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
-        let mut writer = std::io::BufWriter::new(file);
         let recorder = flight.borrow();
-        recorder
-            .write_trace(&mut writer, chrome)
-            .map_err(|e| format!("cannot write trace file {path:?}: {e}"))?;
+        let text = if chrome {
+            recorder.to_chrome_trace()
+        } else {
+            recorder.to_jsonl()
+        };
+        std::fs::write(path, text).map_err(|e| format!("cannot write trace file {path:?}: {e}"))?;
         eprint!("{}", recorder.summary());
     }
     Ok(())

@@ -39,7 +39,7 @@ pub fn ablation_interference() -> String {
                 .map(move |policy| (cfg.clone(), policy, 42))
         })
         .collect();
-    let results = run_batch(tasks);
+    let results = run_batch(tasks, None);
     let mut rows = Vec::new();
     for (i, &interference) in levels.iter().enumerate() {
         let (base, oce, oca) = (&results[3 * i], &results[3 * i + 1], &results[3 * i + 2]);
@@ -76,6 +76,7 @@ pub fn ablation_policies() -> String {
         .into_iter()
         .map(|policy| (cfg.clone(), policy, 42))
         .collect(),
+        None,
     );
     // Baseline is task 0; it doubles as the normalization reference,
     // which the old serial version ran a fifth, redundant time.

@@ -2,13 +2,14 @@
 
 use crate::{cell, table};
 use ic_autoscale::policy::Policy;
-use ic_autoscale::runner::{ramp_schedule, run_batch, run_batch_traced, Runner, RunnerConfig};
+use ic_autoscale::runner::{ramp_schedule, run_batch, Runner, RunnerConfig};
 use ic_core::domains::OperatingDomains;
 use ic_core::usecases::buffer::{static_buffer_servers, virtual_buffer_servers};
 use ic_core::usecases::capacity::{CapacitySnapshot, CapacityTimeline};
 use ic_core::usecases::highperf::VmPerformanceClass;
 use ic_core::usecases::packing::plan_packing;
 use ic_obs::flight::FlightHandle;
+use ic_obs::ObsSinks;
 use ic_sim::series::merge_csv;
 use ic_workloads::configs::CpuConfig;
 use ic_workloads::gpu::figure11_sweep;
@@ -186,28 +187,11 @@ pub fn fig7() -> String {
 
 /// Figure 8: the scale-up-then-out timeline — OC-E hides the scale-out
 /// latency, OC-A postpones the scale-out.
-pub fn fig8(quick: bool) -> String {
-    fig8_with(quick, None)
-}
-
-/// [`fig8`] with flight recording: the three policy runs record into
-/// `flight` (submission order, see
-/// [`ic_autoscale::runner::run_batch_traced`]); the rendered figure is
-/// byte-identical to the untraced one. Returns the default line-count
-/// record so traced and untraced `run_all` reports match.
-pub fn fig8_traced(quick: bool, flight: &FlightHandle) -> (u64, Vec<crate::report::Metric>) {
-    let out = fig8_with(quick, Some(flight));
-    (
-        0,
-        vec![crate::report::Metric::new(
-            "output_lines",
-            "count",
-            out.lines().count() as f64,
-        )],
-    )
-}
-
-fn fig8_with(quick: bool, flight: Option<&FlightHandle>) -> String {
+///
+/// With `flight`, the three policy runs record into it in submission
+/// order (see [`run_batch`]); the rendered figure is byte-identical to
+/// the untraced one.
+pub fn fig8(quick: bool, flight: Option<&FlightHandle>) -> String {
     let mut config = RunnerConfig::paper();
     config.schedule = vec![(0.0, 500.0), (300.0, if quick { 900.0 } else { 1000.0 })];
     config.tail_s = 300.0;
@@ -216,10 +200,7 @@ fn fig8_with(quick: bool, flight: Option<&FlightHandle>) -> String {
         .into_iter()
         .map(|policy| (config.clone(), policy, 42))
         .collect();
-    let results = match flight {
-        Some(flight) => run_batch_traced(tasks, flight),
-        None => run_batch(tasks),
-    };
+    let results = run_batch(tasks, flight);
     for r in results {
         let f_peak = r.frequency_pct.max().unwrap_or(0.0);
         let final_vms = r.vm_count.points().last().map(|&(_, v)| v).unwrap_or(0.0);
@@ -476,7 +457,7 @@ pub fn fig14() -> String {
 /// Figure 15: Equation 1 validation — utilization and frequency over
 /// the 1000/2000/500/3000/1000 QPS schedule with scale-up/down only.
 pub fn fig15(quick: bool) -> String {
-    let r = fig15_run(quick);
+    let r = fig15_run(quick, None);
     let mut out = String::from("== Figure 15: model validation (3 VMs, scale-up/down only) ==\n");
     out.push_str("time_s,util_pct,freq_pct_of_range\n");
     let step = ic_sim::SimDuration::from_secs(if quick { 30 } else { 60 });
@@ -506,6 +487,7 @@ pub fn fig16(quick: bool) -> String {
             .into_iter()
             .map(|policy| (config.clone(), policy, 42))
             .collect(),
+        None,
     );
     let mut series = Vec::new();
     let mut summary = String::new();
@@ -545,12 +527,10 @@ pub fn fig16(quick: bool) -> String {
 }
 
 /// Runs the Figure 15 validation scenario (OC-A on the
-/// 1000/2000/500/3000/1000 QPS schedule; `quick` halves the dwell).
-fn fig15_run(quick: bool) -> ic_autoscale::runner::RunResult {
-    fig15_run_with(quick, None)
-}
-
-fn fig15_run_with(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::runner::RunResult {
+/// 1000/2000/500/3000/1000 QPS schedule; `quick` halves the dwell),
+/// recording its windows, engine phases, and frequency decisions into
+/// `flight` when given.
+fn fig15_run(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::runner::RunResult {
     let mut config = RunnerConfig::validation();
     if quick {
         // Halve the dwell to 2.5 minutes.
@@ -558,7 +538,7 @@ fn fig15_run_with(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::r
     }
     let mut runner = Runner::new(config, Policy::OcA, 42);
     if let Some(flight) = flight {
-        runner = runner.with_flight(flight.clone());
+        runner = runner.with_sinks(ObsSinks::none().with_flight(flight.clone()));
     }
     runner.run()
 }
@@ -567,7 +547,7 @@ fn fig15_run_with(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::r
 /// frequency *increase* inside a constant-load phase, utilization must
 /// not rise afterwards.
 pub fn fig15_validates(quick: bool) -> bool {
-    fig15_invariant_holds(&fig15_run(quick))
+    fig15_invariant_holds(&fig15_run(quick, None))
 }
 
 fn fig15_invariant_holds(r: &ic_autoscale::runner::RunResult) -> bool {
@@ -592,27 +572,15 @@ fn fig15_invariant_holds(r: &ic_autoscale::runner::RunResult) -> bool {
 }
 
 /// Structured Figure 15 record: Equation 1 validation outcome plus the
-/// run's simulation-event count, for `run_all --json`.
-pub fn fig15_record(quick: bool) -> (u64, Vec<crate::report::Metric>) {
-    fig15_record_with(quick, None)
-}
-
-/// [`fig15_record`] with flight recording: the validation run records
-/// its windows, engine phases, and frequency decisions into `flight`
-/// directly (single run — no batch merge involved).
-pub fn fig15_record_traced(
-    quick: bool,
-    flight: &FlightHandle,
-) -> (u64, Vec<crate::report::Metric>) {
-    fig15_record_with(quick, Some(flight))
-}
-
-fn fig15_record_with(
+/// run's simulation-event count, for `run_all --json`. With `flight`,
+/// the single validation run records into it directly (no batch merge
+/// involved); the record is unchanged.
+pub fn fig15_record(
     quick: bool,
     flight: Option<&FlightHandle>,
 ) -> (u64, Vec<crate::report::Metric>) {
     use crate::report::Metric;
-    let r = fig15_run_with(quick, flight);
+    let r = fig15_run(quick, flight);
     let holds = fig15_invariant_holds(&r);
     let metrics = vec![
         Metric::with_paper(
@@ -632,21 +600,9 @@ fn fig15_record_with(
 
 /// Structured Figure 16 record: peak utilization and VM footprint per
 /// policy plus the combined simulation-event count, for
-/// `run_all --json`.
-pub fn fig16_record(quick: bool) -> (u64, Vec<crate::report::Metric>) {
-    fig16_record_with(quick, None)
-}
-
-/// [`fig16_record`] with flight recording (see
-/// [`ic_autoscale::runner::run_batch_traced`]).
-pub fn fig16_record_traced(
-    quick: bool,
-    flight: &FlightHandle,
-) -> (u64, Vec<crate::report::Metric>) {
-    fig16_record_with(quick, Some(flight))
-}
-
-fn fig16_record_with(
+/// `run_all --json`. With `flight`, the three runs record into it (see
+/// [`run_batch`]); the record is unchanged.
+pub fn fig16_record(
     quick: bool,
     flight: Option<&FlightHandle>,
 ) -> (u64, Vec<crate::report::Metric>) {
@@ -661,10 +617,7 @@ fn fig16_record_with(
         .into_iter()
         .map(|policy| (config.clone(), policy, 42))
         .collect();
-    let results = match flight {
-        Some(flight) => run_batch_traced(tasks, flight),
-        None => run_batch(tasks),
-    };
+    let results = run_batch(tasks, flight);
     for r in results {
         sim_events += r.sim_events;
         metrics.push(Metric::new(

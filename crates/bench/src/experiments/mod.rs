@@ -35,7 +35,7 @@ pub fn run_all(quick: bool) -> String {
 /// Experiments the paper reports numbers for carry paper-vs-measured
 /// metric pairs.
 pub fn run_all_json(quick: bool) -> String {
-    let records = run_selected(&Scenario::paper(), mode_for(quick), 1, None)
+    let records = run_selected(&Scenario::paper(), mode_for(quick), 1, None, None)
         .expect("the unfiltered selection always resolves");
     let mut out = String::new();
     for record in records {

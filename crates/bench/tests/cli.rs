@@ -310,6 +310,27 @@ fn trace_format_without_trace_out_is_rejected() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A trace smaller than any write buffer must still surface a failed
+/// write: `/dev/full` rejects every write with `ENOSPC`.
+#[cfg(target_os = "linux")]
+#[test]
+fn failed_trace_write_exits_2() {
+    let out = run_all(&[
+        "--quick",
+        "--json",
+        "--only",
+        "table3",
+        "--trace-out",
+        "/dev/full",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot write trace file"),
+        "stderr was: {stderr}"
+    );
+}
+
 fn baseline_path() -> PathBuf {
     // BENCH_sim.json lives at the workspace root, two levels above this
     // crate's manifest.

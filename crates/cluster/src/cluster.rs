@@ -4,9 +4,8 @@
 use crate::placement::{Oversubscription, PlacementPolicy};
 use crate::server::{Server, ServerSpec};
 use crate::vm::{VmId, VmInstance, VmSpec};
-use ic_obs::flight::FlightHandle;
 use ic_obs::json::Value;
-use ic_obs::trace::{TraceHandle, TraceLevel};
+use ic_obs::trace::TraceLevel;
 use ic_obs::ObsSinks;
 use ic_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -76,7 +75,7 @@ pub struct Cluster {
     oversub: Oversubscription,
     next_id: u64,
     #[serde(skip)]
-    sinks: ObsSinks,
+    pub(crate) sinks: ObsSinks,
     #[serde(skip)]
     hosted: BTreeSet<(usize, VmId)>,
     #[serde(skip)]
@@ -137,49 +136,15 @@ impl Cluster {
         })
     }
 
-    /// Attaches a trace recorder: VM lifecycle (create, delete, failover
-    /// migration) and server failures/repairs are emitted as structured
-    /// events. The cluster has no clock of its own — every mutating
-    /// method takes the current simulation time, which flows from the
-    /// driving event loop (the control plane's tick time or the
-    /// lifecycle engine's `now`).
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.sinks.set_trace(trace);
-    }
-
-    /// The attached trace recorder, if any — so drivers can emit their
-    /// own events (density samples, schedule changes) into the same
-    /// stream.
-    pub fn trace_handle(&self) -> Option<&TraceHandle> {
-        self.sinks.trace()
-    }
-
-    /// Attaches a flight recorder: every emitted cluster event —
-    /// placement, deletion, failover migration, server failure/repair —
-    /// is mirrored as an instant on the flight timeline at the event's
-    /// simulation time, alongside any
-    /// [`attach_trace`](Self::attach_trace) stream.
-    pub fn attach_flight(&mut self, flight: FlightHandle) {
-        self.sinks.set_flight(flight);
-    }
-
-    /// Attaches the whole observability bundle at once.
+    /// Attaches the observability bundle: VM lifecycle (create,
+    /// delete, failover migration) and server failures/repairs land as
+    /// instants on the flight timeline at each event's simulation time.
+    /// The cluster has no clock of its own — every mutating method takes
+    /// the current simulation time, which flows from the driving event
+    /// loop (the control plane's tick time or the lifecycle engine's
+    /// `now`).
     pub fn attach_sinks(&mut self, sinks: ObsSinks) {
         self.sinks = sinks;
-    }
-
-    /// Emits one cluster event. `fields` is only called when a sink is
-    /// attached, so untraced clusters build no field vectors.
-    fn emit(
-        &self,
-        now: SimTime,
-        level: TraceLevel,
-        kind: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, Value)>,
-    ) {
-        if !self.sinks.is_quiet() {
-            self.sinks.instant(now, "cluster", level, kind, fields());
-        }
     }
 
     /// Allocates `spec` on `host` under a fresh id and records it in the
@@ -253,26 +218,28 @@ impl Cluster {
             {
                 Some(host) => host,
                 None => {
-                    self.emit(now, TraceLevel::Warn, "vm_reject", || {
-                        vec![
-                            ("vcores", Value::U64(spec.vcores() as u64)),
-                            ("memory_gb", Value::F64(spec.memory_gb())),
-                            ("density", Value::F64(self.packing_density())),
-                        ]
-                    });
+                    self.sinks
+                        .instant(now, "cluster", TraceLevel::Warn, "vm_reject", || {
+                            vec![
+                                ("vcores", Value::U64(spec.vcores() as u64)),
+                                ("memory_gb", Value::F64(spec.memory_gb())),
+                                ("density", Value::F64(self.packing_density())),
+                            ]
+                        });
                     return Err(ClusterError::InsufficientCapacity);
                 }
             };
         let id = self.place(spec, host);
-        self.emit(now, TraceLevel::Info, "vm_create", || {
-            vec![
-                ("vm", Value::U64(id.0)),
-                ("host", Value::U64(host as u64)),
-                ("vcores", Value::U64(spec.vcores() as u64)),
-                ("memory_gb", Value::F64(spec.memory_gb())),
-                ("density", Value::F64(self.packing_density())),
-            ]
-        });
+        self.sinks
+            .instant(now, "cluster", TraceLevel::Info, "vm_create", || {
+                vec![
+                    ("vm", Value::U64(id.0)),
+                    ("host", Value::U64(host as u64)),
+                    ("vcores", Value::U64(spec.vcores() as u64)),
+                    ("memory_gb", Value::F64(spec.memory_gb())),
+                    ("density", Value::F64(self.packing_density())),
+                ]
+            });
         Ok(id)
     }
 
@@ -288,13 +255,14 @@ impl Cluster {
         if !self.servers[vm.host].is_failed() {
             self.servers[vm.host].release(vm.spec.vcores(), vm.spec.memory_gb());
         }
-        self.emit(now, TraceLevel::Debug, "vm_delete", || {
-            vec![
-                ("vm", Value::U64(id.0)),
-                ("host", Value::U64(vm.host as u64)),
-                ("density", Value::F64(self.packing_density())),
-            ]
-        });
+        self.sinks
+            .instant(now, "cluster", TraceLevel::Debug, "vm_delete", || {
+                vec![
+                    ("vm", Value::U64(id.0)),
+                    ("host", Value::U64(vm.host as u64)),
+                    ("density", Value::F64(self.packing_density())),
+                ]
+            });
         Ok(())
     }
 
@@ -337,12 +305,13 @@ impl Cluster {
         // Ascending id order, as the placement decisions below depend
         // on it.
         let displaced: Vec<VmId> = self.hosted_ids(index).collect();
-        self.emit(now, TraceLevel::Warn, "server_fail", || {
-            vec![
-                ("server", Value::U64(index as u64)),
-                ("displaced_vms", Value::U64(displaced.len() as u64)),
-            ]
-        });
+        self.sinks
+            .instant(now, "cluster", TraceLevel::Warn, "server_fail", || {
+                vec![
+                    ("server", Value::U64(index as u64)),
+                    ("displaced_vms", Value::U64(displaced.len() as u64)),
+                ]
+            });
         let mut report = FailoverReport {
             recreated: Vec::with_capacity(displaced.len()),
             new_ids: Vec::with_capacity(displaced.len()),
@@ -358,25 +327,27 @@ impl Cluster {
             ) {
                 Some(host) => {
                     let id = self.place(vm.spec, host);
-                    self.emit(now, TraceLevel::Info, "vm_migrate", || {
-                        vec![
-                            ("vm", Value::U64(old.0)),
-                            ("from", Value::U64(index as u64)),
-                            ("to", Value::U64(host as u64)),
-                            ("new_vm", Value::U64(id.0)),
-                        ]
-                    });
+                    self.sinks
+                        .instant(now, "cluster", TraceLevel::Info, "vm_migrate", || {
+                            vec![
+                                ("vm", Value::U64(old.0)),
+                                ("from", Value::U64(index as u64)),
+                                ("to", Value::U64(host as u64)),
+                                ("new_vm", Value::U64(id.0)),
+                            ]
+                        });
                     report.recreated.push((old, host));
                     report.new_ids.push(id);
                 }
                 None => {
-                    self.emit(now, TraceLevel::Warn, "vm_unplaced", || {
-                        vec![
-                            ("vm", Value::U64(old.0)),
-                            ("from", Value::U64(index as u64)),
-                            ("vcores", Value::U64(vm.spec.vcores() as u64)),
-                        ]
-                    });
+                    self.sinks
+                        .instant(now, "cluster", TraceLevel::Warn, "vm_unplaced", || {
+                            vec![
+                                ("vm", Value::U64(old.0)),
+                                ("from", Value::U64(index as u64)),
+                                ("vcores", Value::U64(vm.spec.vcores() as u64)),
+                            ]
+                        });
                     report.unplaced.push(old);
                 }
             }
@@ -401,9 +372,10 @@ impl Cluster {
         }
         self.servers[index].repair();
         self.healthy_pcores += self.servers[index].spec().pcores();
-        self.emit(now, TraceLevel::Info, "server_repair", || {
-            vec![("server", Value::U64(index as u64))]
-        });
+        self.sinks
+            .instant(now, "cluster", TraceLevel::Info, "server_repair", || {
+                vec![("server", Value::U64(index as u64))]
+            });
         Ok(())
     }
 
@@ -672,11 +644,12 @@ mod tests {
 
     #[test]
     fn traced_cluster_emits_lifecycle_events() {
-        use ic_obs::trace::{shared_recorder, TraceLevel};
+        use ic_obs::flight::{shared_flight, SpanKind};
+        use ic_obs::trace::TraceLevel;
 
-        let trace = shared_recorder(64);
+        let flight = shared_flight(64);
         let mut c = cluster(2, 16, 1.0);
-        c.attach_trace(trace.clone());
+        c.attach_sinks(ObsSinks::none().with_flight(flight.clone()));
         let t10 = SimTime::from_secs(10);
         let a = c.create_vm(t10, VmSpec::new(16, 16.0)).unwrap();
         let _b = c.create_vm(t10, VmSpec::new(16, 16.0)).unwrap();
@@ -690,7 +663,7 @@ mod tests {
         let survivor = c.vms_on(1 - host)[0].id;
         c.delete_vm(SimTime::from_secs(30), survivor).unwrap();
 
-        let rec = trace.borrow();
+        let rec = flight.borrow();
         let counts = rec.counts_by_kind();
         assert_eq!(counts[&("cluster", "vm_create")], 2);
         assert_eq!(counts[&("cluster", "vm_reject")], 1);
@@ -698,39 +671,17 @@ mod tests {
         assert_eq!(counts[&("cluster", "vm_unplaced")], 1);
         assert_eq!(counts[&("cluster", "server_repair")], 1);
         assert_eq!(counts[&("cluster", "vm_delete")], 1);
+        // Every cluster event is an instant.
+        assert!(rec.spans().all(|s| s.kind == SpanKind::Instant));
         // Rejections and failures are anomalies: Warn level.
         assert!(rec
-            .events()
-            .filter(|e| e.kind == "vm_reject" || e.kind == "server_fail")
-            .all(|e| e.level == TraceLevel::Warn));
+            .spans()
+            .filter(|s| s.name == "vm_reject" || s.name == "server_fail")
+            .all(|s| s.level == TraceLevel::Warn));
         // Timestamps come from the driver-maintained clock.
-        assert!(rec.events().any(|e| e.sim_time == SimTime::from_secs(20)));
-    }
-
-    #[test]
-    fn flight_mirror_matches_trace_stream() {
-        use ic_obs::flight::shared_flight;
-        use ic_obs::trace::shared_recorder;
-
-        let trace = shared_recorder(64);
-        let flight = shared_flight(64);
-        let mut c = cluster(2, 16, 1.0);
-        c.attach_trace(trace.clone());
-        c.attach_flight(flight.clone());
-        let a = c
-            .create_vm(SimTime::from_secs(10), VmSpec::new(8, 8.0))
-            .unwrap();
-        c.delete_vm(SimTime::from_secs(20), a).unwrap();
-
-        // The flight instants mirror the trace events one-for-one.
-        assert_eq!(
-            flight.borrow().counts_by_kind(),
-            trace.borrow().counts_by_kind()
-        );
-        let rec = flight.borrow();
+        assert!(rec.spans().any(|s| s.start == t20));
         let delete = rec.spans().find(|s| s.name == "vm_delete").unwrap();
-        assert_eq!(delete.start, SimTime::from_secs(20));
-        assert_eq!(delete.kind, ic_obs::flight::SpanKind::Instant);
+        assert_eq!(delete.start, SimTime::from_secs(30));
     }
 
     #[test]

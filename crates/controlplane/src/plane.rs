@@ -204,18 +204,14 @@ impl<W: World + 'static> ControlPlane<W> {
                     state.world.pre_tick(now);
                     state.world.advance_to(now);
                     let outcome = state.world.apply(now, "fault", &action);
-                    if !state.sinks.is_quiet() {
-                        state.sinks.instant(
-                            now,
-                            "chaos",
-                            TraceLevel::Info,
-                            "fault",
+                    state
+                        .sinks
+                        .instant(now, "chaos", TraceLevel::Info, "fault", || {
                             vec![
                                 ("verb", Value::Str(action.verb().to_string())),
                                 ("accepted", Value::Bool(outcome.accepted())),
-                            ],
-                        );
-                    }
+                            ]
+                        });
                 });
         }
     }
@@ -284,23 +280,19 @@ impl<W: World + 'static> ControlPlane<W> {
             window_start: state.entries[idx].last_tick,
             decided,
         };
-        if !state.sinks.is_quiet() {
-            state.sinks.instant(
-                now,
-                "controlplane",
-                TraceLevel::Debug,
-                "tick",
+        state
+            .sinks
+            .instant(now, "controlplane", TraceLevel::Debug, "tick", || {
                 vec![
                     ("controller", Value::Str(source.to_string())),
                     ("decided", Value::U64(decided as u64)),
-                ],
-            );
-            if let Some(metrics) = state.sinks.metrics() {
-                let mut m = metrics.borrow_mut();
-                m.counter_add("cp_ticks_total", 1);
-                if decided > 0 {
-                    m.counter_add("cp_actions_total", decided as u64);
-                }
+                ]
+            });
+        if let Some(metrics) = state.sinks.metrics() {
+            let mut m = metrics.borrow_mut();
+            m.counter_add("cp_ticks_total", 1);
+            if decided > 0 {
+                m.counter_add("cp_actions_total", decided as u64);
             }
         }
         let CpState { world, entries, .. } = state;

@@ -1,8 +1,7 @@
 //! The flight recorder: deterministic hierarchical span profiling.
 //!
-//! Where [`trace`](crate::trace) records *point* events, this module
-//! records *extents*: spans keyed by the simulation clock plus a
-//! recorder-local sequence number — never wall clock — so two same-seed
+//! This module records *extents* and *points*: spans and instants keyed
+//! by the simulation clock plus a recorder-local sequence number — never wall clock — so two same-seed
 //! runs export byte-identical traces, for any `IC_PAR_WORKERS` setting
 //! (parallel sweeps record into per-task recorders that are
 //! [`absorb`](FlightRecorder::absorb)ed in submission order).
@@ -629,14 +628,7 @@ impl FlightRecorder {
             out.push('"');
             if !span.fields.is_empty() {
                 out.push(',');
-                write_fields(
-                    &span
-                        .fields
-                        .iter()
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect::<Vec<_>>(),
-                    &mut out,
-                );
+                write_fields(&span.fields, &mut out);
             }
             out.push_str("}}");
         }
@@ -678,14 +670,7 @@ impl FlightRecorder {
             out.push_str("\",\"ph\":\"");
             out.push_str(span.kind.name());
             out.push_str("\",\"fields\":{");
-            write_fields(
-                &span
-                    .fields
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect::<Vec<_>>(),
-                &mut out,
-            );
+            write_fields(&span.fields, &mut out);
             out.push_str("}}\n");
         }
         out
@@ -770,9 +755,8 @@ fn write_us_parts(ns: u64, out: &mut String) {
     }
 }
 
-/// A shareable recorder handle, mirroring
-/// [`TraceHandle`](crate::trace::TraceHandle): the driver keeps one
-/// clone, instrumented components keep others.
+/// A shareable recorder handle for single-threaded simulations: the
+/// driver keeps one clone, instrumented components keep others.
 pub type FlightHandle = Rc<RefCell<FlightRecorder>>;
 
 /// Creates a [`FlightHandle`] with the given ring capacity.

@@ -10,20 +10,21 @@
 //!   gauges, and constant-memory log-bin histograms (reusing
 //!   [`ic_sim::hist::LogHistogram`]), with deterministic iteration order
 //!   and a JSON snapshot.
-//! * [`trace`] — a [`trace::TraceRecorder`] ring buffer of structured
-//!   [`trace::TraceEvent`]s keyed by simulation time plus a recorder
-//!   sequence number (never wall clock — two same-seed runs produce
-//!   byte-identical output), with JSONL and CSV sinks.
-//! * [`flight`] — the flight recorder: deterministic *hierarchical*
-//!   spans ([`flight::FlightRecorder`] + the [`flight::SpanGuard`] RAII
-//!   API) with per-event-kind engine phases, submission-order merging of
-//!   parallel sweep tasks, and three exporters — Chrome Trace Event JSON
+//! * [`trace`] — the [`trace::TraceLevel`] severity scale and the
+//!   `IC_OBS_LEVEL` filter ([`trace::LEVEL_ENV`]) every recorder honors.
+//! * [`flight`] — the flight recorder, the crate's one event sink:
+//!   deterministic *hierarchical* spans and instants
+//!   ([`flight::FlightRecorder`] + the [`flight::SpanGuard`] RAII API)
+//!   keyed by simulation time plus a recorder sequence number (never
+//!   wall clock — two same-seed runs export byte-identical traces), with
+//!   per-event-kind engine phases, submission-order merging of parallel
+//!   sweep tasks, and three exporters — Chrome Trace Event JSON
 //!   (loadable in Perfetto / `chrome://tracing`), JSONL, and a human
 //!   self-time summary table backed by [`ic_sim::hist::LogHistogram`].
 //! * [`sinks`] — the [`sinks::ObsSinks`] bundle: one value carrying
-//!   the optional trace/metrics/flight handles that every instrumented
-//!   component used to thread individually, with a single
-//!   [`sinks::ObsSinks::instant`] emit that mirrors flight-then-trace.
+//!   the optional metrics/flight handles that every instrumented
+//!   component attaches in one call, with a single
+//!   [`sinks::ObsSinks::instant`] emit onto the flight timeline.
 //! * [`engine_obs`] — adapters implementing
 //!   [`ic_sim::observe::EngineObserver`] so the discrete-event engine
 //!   feeds the registry ([`engine_obs::EngineMetrics`]) or the flight
@@ -38,8 +39,7 @@
 //! The `IC_OBS_LEVEL` environment variable ([`trace::LEVEL_ENV`]) sets
 //! the minimum recorded severity — `error`, `warn`, `info`, or `debug`
 //! (case-insensitive) — for every recorder built through a `from_env`
-//! constructor: [`trace::TraceRecorder::from_env`],
-//! [`flight::FlightRecorder::from_env`], and
+//! constructor: [`flight::FlightRecorder::from_env`] and
 //! [`flight::shared_flight_from_env`]. Unset or unparseable values keep
 //! each recorder's default (`debug`: record everything). Hot loops can
 //! therefore emit debug-level events unconditionally; a production run
@@ -50,21 +50,22 @@
 //! # Example
 //!
 //! ```
-//! use ic_obs::trace::{TraceLevel, TraceRecorder};
+//! use ic_obs::flight::FlightRecorder;
 //! use ic_obs::json::Value;
+//! use ic_obs::trace::TraceLevel;
 //! use ic_sim::time::SimTime;
 //!
-//! let mut rec = TraceRecorder::new(1024);
-//! rec.emit(
+//! let mut rec = FlightRecorder::new(1024);
+//! rec.instant_at(
 //!     SimTime::from_secs(3),
 //!     "asc",
-//!     TraceLevel::Info,
 //!     "scale_out",
+//!     TraceLevel::Info,
 //!     vec![("active_vms", Value::U64(2)), ("util", Value::F64(0.61))],
 //! );
 //! let jsonl = rec.to_jsonl();
-//! assert!(jsonl.contains("\"kind\":\"scale_out\""));
-//! assert!(jsonl.contains("\"t_ns\":3000000000"));
+//! assert!(jsonl.contains("\"name\":\"scale_out\""));
+//! assert!(jsonl.contains("\"start_ns\":3000000000"));
 //! ```
 
 pub mod engine_obs;
@@ -82,4 +83,4 @@ pub use flight::{
 pub use json::Value;
 pub use metrics::{shared_registry, MetricsHandle, MetricsRegistry};
 pub use sinks::ObsSinks;
-pub use trace::{shared_recorder, TraceEvent, TraceHandle, TraceLevel, TraceRecorder};
+pub use trace::TraceLevel;

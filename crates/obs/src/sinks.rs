@@ -1,28 +1,22 @@
 //! The observability sink bundle.
 //!
-//! Every instrumented component used to carry the same three optional
-//! handles — `Option<TraceHandle>`, `Option<MetricsHandle>`,
-//! `Option<FlightHandle>` — plus a private `emit` that mirrored each
-//! event onto the flight timeline and the trace stream. [`ObsSinks`]
-//! is that triplet as one value: build it once, clone it into every
-//! component (handles are cheap `Rc` clones), and emit through
+//! Every instrumented component carries the same two optional handles
+//! — `Option<MetricsHandle>` and `Option<FlightHandle>`. [`ObsSinks`]
+//! is that pair as one value: build it once, clone it into every
+//! component (handles are cheap `Rc` clones), attach it with the
+//! component's one `attach_sinks`/`with_sinks` call, and emit through
 //! [`ObsSinks::instant`].
-//!
-//! The mirroring order is part of the contract: flight first, then
-//! trace, exactly as the per-component `emit` helpers did — so
-//! converting a component to `ObsSinks` changes no recorded byte.
 
 use crate::flight::FlightHandle;
 use crate::json::Value;
 use crate::metrics::MetricsHandle;
-use crate::trace::{TraceHandle, TraceLevel};
+use crate::trace::TraceLevel;
 use ic_sim::time::SimTime;
 
-/// A bundle of optional observability sinks: trace stream, metrics
-/// registry, flight recorder.
+/// A bundle of optional observability sinks: metrics registry and
+/// flight recorder.
 #[derive(Clone, Default)]
 pub struct ObsSinks {
-    trace: Option<TraceHandle>,
     metrics: Option<MetricsHandle>,
     flight: Option<FlightHandle>,
 }
@@ -39,16 +33,13 @@ impl PartialEq for ObsSinks {
                 _ => false,
             }
         }
-        same(&self.trace, &other.trace)
-            && same(&self.metrics, &other.metrics)
-            && same(&self.flight, &other.flight)
+        same(&self.metrics, &other.metrics) && same(&self.flight, &other.flight)
     }
 }
 
 impl std::fmt::Debug for ObsSinks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsSinks")
-            .field("trace", &self.trace.is_some())
             .field("metrics", &self.metrics.is_some())
             .field("flight", &self.flight.is_some())
             .finish()
@@ -59,12 +50,6 @@ impl ObsSinks {
     /// An empty bundle: nothing attached, every emit is a no-op.
     pub fn none() -> Self {
         ObsSinks::default()
-    }
-
-    /// Adds a trace recorder (builder style).
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = Some(trace);
-        self
     }
 
     /// Adds a metrics registry (builder style).
@@ -79,26 +64,6 @@ impl ObsSinks {
         self
     }
 
-    /// Attaches (or replaces) the trace recorder.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attaches (or replaces) the metrics registry.
-    pub fn set_metrics(&mut self, metrics: MetricsHandle) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Attaches (or replaces) the flight recorder.
-    pub fn set_flight(&mut self, flight: FlightHandle) {
-        self.flight = Some(flight);
-    }
-
-    /// The trace recorder, if attached.
-    pub fn trace(&self) -> Option<&TraceHandle> {
-        self.trace.as_ref()
-    }
-
     /// The metrics registry, if attached.
     pub fn metrics(&self) -> Option<&MetricsHandle> {
         self.metrics.as_ref()
@@ -109,31 +74,22 @@ impl ObsSinks {
         self.flight.as_ref()
     }
 
-    /// `true` when no sink is attached (emits cost nothing).
-    pub fn is_quiet(&self) -> bool {
-        self.trace.is_none() && self.metrics.is_none() && self.flight.is_none()
-    }
-
-    /// Emits one structured event at simulation time `at`: mirrored as
-    /// an instant on the flight timeline (if attached), then onto the
-    /// trace stream (if attached) — the order every component's private
-    /// `emit` used, preserved so migrated call sites stay
-    /// byte-identical.
+    /// Emits one structured event at simulation time `at` as an
+    /// instant on the flight timeline. `fields` runs only when a flight
+    /// recorder is attached, so an untraced component pays nothing for
+    /// its payload.
     pub fn instant(
         &self,
         at: SimTime,
         target: &'static str,
         level: TraceLevel,
         kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: impl FnOnce() -> Vec<(&'static str, Value)>,
     ) {
         if let Some(flight) = &self.flight {
             flight
                 .borrow_mut()
-                .instant_at(at, target, kind, level, fields.clone());
-        }
-        if let Some(trace) = &self.trace {
-            trace.borrow_mut().emit(at, target, level, kind, fields);
+                .instant_at(at, target, kind, level, fields());
         }
     }
 }
@@ -143,48 +99,50 @@ mod tests {
     use super::*;
     use crate::flight::shared_flight;
     use crate::metrics::shared_registry;
-    use crate::trace::shared_recorder;
 
     #[test]
     fn quiet_bundle_swallows_events() {
         let sinks = ObsSinks::none();
-        assert!(sinks.is_quiet());
-        sinks.instant(
-            SimTime::from_secs(1),
-            "t",
-            TraceLevel::Info,
-            "k",
-            vec![("x", Value::U64(1))],
-        );
+        assert!(sinks.metrics().is_none() && sinks.flight().is_none());
+        sinks.instant(SimTime::from_secs(1), "t", TraceLevel::Info, "k", || {
+            vec![("x", Value::U64(1))]
+        });
     }
 
     #[test]
-    fn instant_mirrors_to_flight_and_trace() {
-        let trace = shared_recorder(16);
+    fn instant_lands_on_the_flight_timeline() {
         let flight = shared_flight(16);
-        let sinks = ObsSinks::none()
-            .with_trace(trace.clone())
-            .with_flight(flight.clone());
-        assert!(!sinks.is_quiet());
+        let sinks = ObsSinks::none().with_flight(flight.clone());
+        assert!(sinks.flight().is_some());
         sinks.instant(
             SimTime::from_secs(2),
             "ctrl",
             TraceLevel::Info,
             "tick",
-            vec![("n", Value::U64(3))],
+            || vec![("n", Value::U64(3))],
         );
-        assert_eq!(trace.borrow().counts_by_kind()[&("ctrl", "tick")], 1);
-        assert_eq!(flight.borrow().counts_by_kind()[&("ctrl", "tick")], 1);
+        let rec = flight.borrow();
+        assert_eq!(rec.counts_by_kind()[&("ctrl", "tick")], 1);
+        let span = rec.spans().next().unwrap();
+        assert_eq!(span.start, SimTime::from_secs(2));
+        assert_eq!(span.fields, vec![("n", Value::U64(3))]);
     }
 
     #[test]
-    fn setters_and_accessors_round_trip() {
-        let mut sinks = ObsSinks::none();
-        sinks.set_trace(shared_recorder(8));
-        sinks.set_metrics(shared_registry());
-        sinks.set_flight(shared_flight(8));
-        assert!(sinks.trace().is_some());
+    fn metrics_only_bundle_never_builds_fields() {
+        let sinks = ObsSinks::none().with_metrics(shared_registry());
         assert!(sinks.metrics().is_some());
-        assert!(sinks.flight().is_some());
+        sinks.instant(SimTime::from_secs(1), "t", TraceLevel::Warn, "k", || {
+            panic!("fields built without a flight recorder")
+        });
+    }
+
+    #[test]
+    fn bundles_compare_by_identity() {
+        let flight = shared_flight(8);
+        let a = ObsSinks::none().with_flight(flight.clone());
+        assert_eq!(a, ObsSinks::none().with_flight(flight));
+        assert_ne!(a, ObsSinks::none().with_flight(shared_flight(8)));
+        assert_ne!(a, ObsSinks::none());
     }
 }

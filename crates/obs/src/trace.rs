@@ -1,20 +1,5 @@
-//! Structured trace events with deterministic ordering and bounded
-//! memory.
-//!
-//! Every event is keyed by the *simulation* clock plus a recorder-local
-//! sequence number — never wall clock — so two same-seed runs emit
-//! byte-identical traces (asserted by `tests/trace_determinism.rs`).
-//! The recorder is a ring buffer: when full it drops the **oldest**
-//! events and counts them, so a long run keeps the most recent window
-//! without unbounded growth.
-
-use crate::json::{write_escaped, write_fields, Value};
-use ic_sim::time::SimTime;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::io;
-use std::rc::Rc;
+//! Event severity levels and the `IC_OBS_LEVEL` filter shared by every
+//! recorder in this crate.
 
 /// Event severity. `Debug` is for per-step records (high volume);
 /// `Info` for state transitions; `Warn` for anomalies (rejections,
@@ -31,10 +16,9 @@ pub enum TraceLevel {
     Error,
 }
 
-/// The environment variable read by [`TraceLevel::from_env`],
-/// [`TraceRecorder::from_env`], and the flight recorder's
-/// `from_env` constructors: set to `error`, `warn`, `info`, or `debug`
-/// to choose the minimum recorded level.
+/// The environment variable read by [`TraceLevel::from_env`] and the
+/// flight recorder's `from_env` constructors: set to `error`, `warn`,
+/// `info`, or `debug` to choose the minimum recorded level.
 pub const LEVEL_ENV: &str = "IC_OBS_LEVEL";
 
 impl TraceLevel {
@@ -68,334 +52,9 @@ impl TraceLevel {
     }
 }
 
-/// One structured event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Simulation time of the event.
-    pub sim_time: SimTime,
-    /// Recorder-assigned sequence number (total order within a run).
-    pub seq: u64,
-    /// The subsystem that emitted the event (e.g. `"asc"`, `"governor"`).
-    pub target: &'static str,
-    /// Severity.
-    pub level: TraceLevel,
-    /// Event kind within the target (e.g. `"scale_out"`).
-    pub kind: &'static str,
-    /// Structured payload, in emission order.
-    pub fields: Vec<(&'static str, Value)>,
-}
-
-impl TraceEvent {
-    /// This event as one JSON object (no trailing newline).
-    ///
-    /// Schema: `{"t_ns":…,"seq":…,"target":…,"level":…,"kind":…,
-    /// "fields":{…}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96 + 24 * self.fields.len());
-        out.push_str("{\"t_ns\":");
-        out.push_str(&self.sim_time.as_nanos().to_string());
-        out.push_str(",\"seq\":");
-        out.push_str(&self.seq.to_string());
-        out.push_str(",\"target\":");
-        write_escaped(self.target, &mut out);
-        out.push_str(",\"level\":\"");
-        out.push_str(self.level.name());
-        out.push_str("\",\"kind\":");
-        write_escaped(self.kind, &mut out);
-        out.push_str(",\"fields\":{");
-        write_fields(
-            &self
-                .fields
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect::<Vec<_>>(),
-            &mut out,
-        );
-        out.push_str("}}");
-        out
-    }
-
-    /// This event as one CSV row matching [`TraceRecorder::CSV_HEADER`];
-    /// the fields column is the JSON payload, quoted.
-    pub fn to_csv_row(&self) -> String {
-        let mut fields_json = String::from("{");
-        write_fields(
-            &self
-                .fields
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect::<Vec<_>>(),
-            &mut fields_json,
-        );
-        fields_json.push('}');
-        format!(
-            "{},{},{},{},{},\"{}\"",
-            self.sim_time.as_nanos(),
-            self.seq,
-            self.target,
-            self.level.name(),
-            self.kind,
-            fields_json.replace('"', "\"\"")
-        )
-    }
-}
-
-/// A bounded recorder of [`TraceEvent`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecorder {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
-    min_level: TraceLevel,
-}
-
-impl TraceRecorder {
-    /// CSV column header matching [`TraceEvent::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "t_ns,seq,target,level,kind,fields";
-
-    /// Creates a recorder keeping at most `capacity` events (the oldest
-    /// are dropped first once full).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        TraceRecorder {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            next_seq: 0,
-            dropped: 0,
-            min_level: TraceLevel::Debug,
-        }
-    }
-
-    /// Like [`new`](Self::new), but the minimum level comes from the
-    /// `IC_OBS_LEVEL` environment variable (`error`/`warn`/`info`/
-    /// `debug`); unset or unparseable keeps the `Debug` default, so
-    /// existing callers see no behavior change.
-    pub fn from_env(capacity: usize) -> Self {
-        let mut rec = Self::new(capacity);
-        if let Some(level) = TraceLevel::from_env() {
-            rec.set_min_level(level);
-        }
-        rec
-    }
-
-    /// Suppresses events below `level` (they consume no sequence
-    /// numbers, so a run filtered to `Info` is still deterministic).
-    pub fn set_min_level(&mut self, level: TraceLevel) {
-        self.min_level = level;
-    }
-
-    /// `true` if an event at `level` would be recorded.
-    pub fn enabled(&self, level: TraceLevel) -> bool {
-        level >= self.min_level
-    }
-
-    /// Records an event and returns its sequence number; returns `None`
-    /// when the event is below the level filter.
-    pub fn emit(
-        &mut self,
-        sim_time: SimTime,
-        target: &'static str,
-        level: TraceLevel,
-        kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) -> Option<u64> {
-        if !self.enabled(level) {
-            return None;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceEvent {
-            sim_time,
-            seq,
-            target,
-            level,
-            kind,
-            fields,
-        });
-        Some(seq)
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted by the ring buffer so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total events ever recorded (retained + dropped).
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Clears retained events (sequence numbers keep increasing, so a
-    /// cleared recorder still yields a globally ordered stream).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Retained-event counts by `(target, kind)`, deterministically
-    /// ordered.
-    pub fn counts_by_kind(&self) -> BTreeMap<(&'static str, &'static str), u64> {
-        let mut counts = BTreeMap::new();
-        for e in &self.events {
-            *counts.entry((e.target, e.kind)).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// All retained events as JSONL (one object per line, trailing
-    /// newline).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// All retained events as CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(Self::CSV_HEADER);
-        out.push('\n');
-        for e in &self.events {
-            out.push_str(&e.to_csv_row());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Streams the retained events as JSONL into `w`.
-    pub fn write_jsonl<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        for e in &self.events {
-            writeln!(w, "{}", e.to_json())?;
-        }
-        Ok(())
-    }
-}
-
-/// A shareable recorder handle for single-threaded simulations: the
-/// driver keeps one clone, instrumented components keep others.
-pub type TraceHandle = Rc<RefCell<TraceRecorder>>;
-
-/// Creates a [`TraceHandle`] with the given ring capacity.
-pub fn shared_recorder(capacity: usize) -> TraceHandle {
-    Rc::new(RefCell::new(TraceRecorder::new(capacity)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(rec: &mut TraceRecorder, secs: u64, kind: &'static str) -> Option<u64> {
-        rec.emit(
-            SimTime::from_secs(secs),
-            "test",
-            TraceLevel::Info,
-            kind,
-            vec![("x", Value::U64(secs))],
-        )
-    }
-
-    #[test]
-    fn emits_with_increasing_seq() {
-        let mut rec = TraceRecorder::new(8);
-        assert_eq!(ev(&mut rec, 1, "a"), Some(0));
-        assert_eq!(ev(&mut rec, 2, "b"), Some(1));
-        let events: Vec<_> = rec.events().collect();
-        assert_eq!(events.len(), 2);
-        assert!(events[0].seq < events[1].seq);
-    }
-
-    #[test]
-    fn ring_drops_oldest() {
-        let mut rec = TraceRecorder::new(3);
-        for i in 0..5 {
-            ev(&mut rec, i, "tick");
-        }
-        assert_eq!(rec.len(), 3);
-        assert_eq!(rec.dropped(), 2);
-        assert_eq!(rec.total_recorded(), 5);
-        let first = rec.events().next().unwrap();
-        assert_eq!(first.seq, 2); // 0 and 1 were evicted
-    }
-
-    #[test]
-    fn level_filter_suppresses_without_seq() {
-        let mut rec = TraceRecorder::new(8);
-        rec.set_min_level(TraceLevel::Info);
-        assert_eq!(
-            rec.emit(SimTime::ZERO, "t", TraceLevel::Debug, "noisy", vec![]),
-            None
-        );
-        assert_eq!(ev(&mut rec, 1, "a"), Some(0));
-        assert!(!rec.enabled(TraceLevel::Debug));
-        assert!(rec.enabled(TraceLevel::Warn));
-    }
-
-    #[test]
-    fn jsonl_schema() {
-        let mut rec = TraceRecorder::new(8);
-        rec.emit(
-            SimTime::from_millis(1500),
-            "asc",
-            TraceLevel::Warn,
-            "reject",
-            vec![("vm", Value::U64(7)), ("why", Value::str("capacity"))],
-        );
-        let line = rec.to_jsonl();
-        assert_eq!(
-            line,
-            "{\"t_ns\":1500000000,\"seq\":0,\"target\":\"asc\",\"level\":\"warn\",\
-             \"kind\":\"reject\",\"fields\":{\"vm\":7,\"why\":\"capacity\"}}\n"
-        );
-    }
-
-    #[test]
-    fn csv_round_trip_shape() {
-        let mut rec = TraceRecorder::new(8);
-        ev(&mut rec, 2, "a");
-        let csv = rec.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(TraceRecorder::CSV_HEADER));
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("2000000000,0,test,info,a,"));
-        assert!(row.contains("\"\"x\"\""), "quotes doubled: {row}");
-    }
-
-    #[test]
-    fn counts_by_kind_orders_deterministically() {
-        let mut rec = TraceRecorder::new(16);
-        ev(&mut rec, 1, "b");
-        ev(&mut rec, 2, "a");
-        ev(&mut rec, 3, "a");
-        let counts = rec.counts_by_kind();
-        let keys: Vec<_> = counts.keys().collect();
-        assert_eq!(keys, vec![&("test", "a"), &("test", "b")]);
-        assert_eq!(counts[&("test", "a")], 2);
-    }
 
     #[test]
     fn level_parse_and_order() {
@@ -408,28 +67,5 @@ mod tests {
         assert!(TraceLevel::Warn > TraceLevel::Info);
         assert!(TraceLevel::Info > TraceLevel::Debug);
         assert_eq!(TraceLevel::Error.name(), "error");
-    }
-
-    #[test]
-    fn error_level_filter_keeps_only_errors() {
-        let mut rec = TraceRecorder::new(8);
-        rec.set_min_level(TraceLevel::Error);
-        assert_eq!(
-            rec.emit(SimTime::ZERO, "t", TraceLevel::Warn, "odd", vec![]),
-            None
-        );
-        assert_eq!(
-            rec.emit(SimTime::ZERO, "t", TraceLevel::Error, "bad", vec![]),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn write_jsonl_matches_to_jsonl() {
-        let mut rec = TraceRecorder::new(4);
-        ev(&mut rec, 1, "a");
-        let mut buf = Vec::new();
-        rec.write_jsonl(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), rec.to_jsonl());
     }
 }

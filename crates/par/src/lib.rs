@@ -28,7 +28,7 @@
 //! assert_eq!(squares[7], 49); // submission order, whatever ran first
 //! ```
 
-use ic_obs::flight::{shared_flight, FlightRecorder};
+use ic_obs::flight::{shared_flight_from_env, FlightRecorder};
 use ic_sim::rng::SimRng;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -173,7 +173,11 @@ impl ParPool {
     /// order**, like the results themselves. Callers typically
     /// [`absorb`](FlightRecorder::absorb) the recorders into one main
     /// recorder in that order, which is what makes the merged trace
-    /// byte-identical for any worker count.
+    /// byte-identical for any worker count. This is the one traced entry
+    /// point in the workspace: every other instrumented function takes
+    /// an `Option<&FlightHandle>` and calls this when it is `Some` (for
+    /// example `ic_autoscale::runner::run_batch` and the bench
+    /// registry's `run_selected`).
     ///
     /// The recorder handle is task-local (`Rc`, not `Arc`): tasks must
     /// not leak clones of it past their own return, which the
@@ -190,10 +194,7 @@ impl ParPool {
         F: Fn(usize, T, &ic_obs::flight::FlightHandle) -> R + Sync,
     {
         self.scatter_gather(tasks, |i, task| {
-            let flight = shared_flight(capacity);
-            if let Some(level) = ic_obs::trace::TraceLevel::from_env() {
-                flight.borrow_mut().set_min_level(level);
-            }
+            let flight = shared_flight_from_env(capacity);
             let result = run(i, task, &flight);
             let recorder = Rc::try_unwrap(flight)
                 .expect("task leaked its FlightHandle")
