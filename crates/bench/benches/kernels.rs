@@ -34,7 +34,10 @@
 //! hazard/burst bookkeeping on the event loop), the failover write
 //! path at 100 000 servers and 10 000 VMs (`failover_ops_per_sec` —
 //! fail/repair actuations per second; quadratic in fleet size if a
-//! placement write ever scans the fleet again),
+//! placement write ever scans the fleet again), the power-capping
+//! regrant path at 250 000 domains (`powercap_regrants_per_sec` —
+//! grants planned, diffed and applied per second; falls several-fold if
+//! the capping tick sorts or a grant write searches again),
 //! the governor's steady-state cache hit rate, and the worker count
 //! the pool resolved (`IC_PAR_WORKERS` or the machine's parallelism —
 //! wall-clock numbers only speed up with real cores).
@@ -53,9 +56,14 @@ use ic_cluster::cluster::Cluster;
 use ic_cluster::placement::{Oversubscription, PlacementPolicy};
 use ic_cluster::server::ServerSpec;
 use ic_cluster::vm::VmSpec;
-use ic_controlplane::{Action, FleetConfigBuilder, FleetWorld, Outcome, World};
+use ic_controlplane::controllers::PowerCapController;
+use ic_controlplane::{
+    Action, Controller, DomainSpec, FleetConfigBuilder, FleetWorld, FreqTarget, Outcome,
+    PowerModelSpec, World,
+};
 use ic_core::governor::{GovernorConfig, OverclockGovernor};
 use ic_obs::json::{write_escaped, write_f64};
+use ic_power::capping::{PowerAllocator, Priority};
 use ic_power::cpu::CpuSku;
 use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
@@ -425,6 +433,103 @@ impl FailoverFleet {
     }
 }
 
+/// The power-capping kernel's fleet: 250 000 power domains in the
+/// shape of simbench's `fleet_cap` workload — four thermal-interface
+/// bins, every fourth domain Critical, 60 W floors under a 100 W per
+/// domain budget — plus the capping controller that regrants them.
+/// Built once per bench process (setup is O(fleet)) and reused by every
+/// measurement pass.
+///
+/// Each cycle commands the fleet to the other of two frequencies (1.2×
+/// and 1.0×), which re-solves every domain's demand, then runs one
+/// capping tick and applies every grant it returns. The tick must stay
+/// a few sequential passes over the rows and each grant write O(1): a
+/// per-tick sort or a per-grant search would cut the rate several-fold.
+struct PowercapFleet {
+    world: FleetWorld,
+    cap: PowerCapController,
+    cycles: usize,
+    /// Grants one steady-state cycle emits.
+    grants_per_cycle: usize,
+}
+
+impl PowercapFleet {
+    const DOMAINS: usize = 250_000;
+
+    fn new() -> Self {
+        let domains = Self::DOMAINS;
+        let config = FleetConfigBuilder::small(1)
+            .budget_w(100.0 * domains as f64)
+            .domains(
+                (0..domains)
+                    .map(|i| DomainSpec {
+                        domain: i as u64,
+                        priority: if i % 4 == 0 {
+                            Priority::Critical
+                        } else {
+                            Priority::Batch
+                        },
+                        floor_w: 60.0,
+                        demand_w: 130.0,
+                    })
+                    .collect(),
+            )
+            .power_model(PowerModelSpec {
+                sku: CpuSku::skylake_8180(),
+                bins: [0.080, 0.084, 0.088, 0.092]
+                    .iter()
+                    .map(|&r| ThermalInterface::two_phase(DielectricFluid::hfe7000(), r, 0.0))
+                    .collect(),
+                base_ghz: 3.4,
+            })
+            .build();
+        let budget_w = config.budget_w;
+        let mut fleet = PowercapFleet {
+            world: FleetWorld::new(config),
+            cap: PowerCapController::new(PowerAllocator::new(budget_w)),
+            cycles: 0,
+            grants_per_cycle: 0,
+        };
+        // The first cycle also lifts domains off their initial floor
+        // grants; from the second on, each cycle regrants exactly the
+        // domains whose share the frequency swing moved.
+        fleet.cycle();
+        fleet.grants_per_cycle = fleet.cycle();
+        assert!(
+            fleet.grants_per_cycle > 0,
+            "the frequency swing moves grants"
+        );
+        fleet
+    }
+
+    /// One frequency swing plus one capping tick; returns the grants
+    /// applied.
+    fn cycle(&mut self) -> usize {
+        let t = SimTime::from_secs(1);
+        let ratio = [1.2, 1.0][self.cycles % 2];
+        self.cycles += 1;
+        let target = FreqTarget::Fleet;
+        self.world
+            .apply(t, "bench", &Action::SetFrequency { target, ratio });
+        let actions = self.cap.observe(self.world.telemetry(t));
+        for action in &actions {
+            let outcome = self.world.apply(t, "powercap", action);
+            assert!(outcome.accepted(), "{action:?} rejected: {outcome:?}");
+        }
+        actions.len()
+    }
+
+    /// Times regrant cycles and returns grants applied per second
+    /// (including the tick's planning and diff passes).
+    fn regrants_per_sec(&mut self, batches: u32) -> f64 {
+        let best = best_of(batches, 4, || {
+            let grants = self.cycle();
+            assert_eq!(grants, self.grants_per_cycle, "steady cycles regrant alike");
+        });
+        self.grants_per_cycle as f64 / best
+    }
+}
+
 /// Exercises the governor's decision loop over a grid of power grants
 /// and reports the steady-state memo table's hit rate — the fraction of
 /// power/temperature fixed points served without re-solving.
@@ -450,12 +555,13 @@ fn governor_cache_hit_rate() -> f64 {
 /// runner must not be able to move them.
 fn trajectory(quick: bool) -> Vec<(&'static str, f64)> {
     let mut failover = FailoverFleet::new();
+    let mut powercap = PowercapFleet::new();
     if !quick {
-        return trajectory_once(false, &mut failover);
+        return trajectory_once(false, &mut failover, &mut powercap);
     }
-    let first = trajectory_once(true, &mut failover);
-    let second = trajectory_once(true, &mut failover);
-    let third = trajectory_once(true, &mut failover);
+    let first = trajectory_once(true, &mut failover, &mut powercap);
+    let second = trajectory_once(true, &mut failover, &mut powercap);
+    let third = trajectory_once(true, &mut failover, &mut powercap);
     first
         .iter()
         .zip(&second)
@@ -469,7 +575,11 @@ fn trajectory(quick: bool) -> Vec<(&'static str, f64)> {
 }
 
 /// One full measurement pass over every trajectory key.
-fn trajectory_once(quick: bool, failover: &mut FailoverFleet) -> Vec<(&'static str, f64)> {
+fn trajectory_once(
+    quick: bool,
+    failover: &mut FailoverFleet,
+    powercap: &mut PowercapFleet,
+) -> Vec<(&'static str, f64)> {
     let batches = if quick { 3 } else { 5 };
     let engine_best = engine_iter_secs(batches);
     let (steady_eps, allocs_per_event) = engine_steady_state(if quick { 5 } else { 15 });
@@ -515,6 +625,10 @@ fn trajectory_once(quick: bool, failover: &mut FailoverFleet) -> Vec<(&'static s
         ),
         ("chaos_events_per_sec", chaos_events_per_sec(quick)),
         ("failover_ops_per_sec", failover.ops_per_sec(batches)),
+        (
+            "powercap_regrants_per_sec",
+            powercap.regrants_per_sec(batches),
+        ),
         ("steady_cache_hit_rate", governor_cache_hit_rate()),
         ("par_workers", ic_par::pool().workers() as f64),
     ]
@@ -523,7 +637,7 @@ fn trajectory_once(quick: bool, failover: &mut FailoverFleet) -> Vec<(&'static s
 /// Encodes the trajectory metrics as one deterministic-layout JSON
 /// object (only the measurements themselves vary run to run).
 fn trajectory_json(quick: bool, metrics: &[(&'static str, f64)]) -> String {
-    let mut out = String::from("{\"schema\":\"ic-bench/kernels/v7\",\"mode\":");
+    let mut out = String::from("{\"schema\":\"ic-bench/kernels/v8\",\"mode\":");
     write_escaped(if quick { "quick" } else { "full" }, &mut out);
     for (key, value) in metrics {
         out.push(',');
@@ -606,6 +720,12 @@ fn main() {
     println!(
         "failover_ops                 {:>10.3} ops/s   (100k servers, 10k vms)",
         FailoverFleet::new().ops_per_sec(5)
+    );
+    let mut powercap = PowercapFleet::new();
+    println!(
+        "powercap_regrants            {:>10.3} Mgrants/s ({} per tick, 250k domains)",
+        powercap.regrants_per_sec(5) / 1e6,
+        powercap.grants_per_cycle
     );
     println!(
         "steady_cache_hit_rate        {:>10.3}",

@@ -67,7 +67,7 @@ enum Rule {
     Info,
 }
 
-/// Every key of the `ic-bench/kernels/v7` snapshot with its rule.
+/// Every key of the `ic-bench/kernels/v8` snapshot with its rule.
 const RULES: &[(&str, Rule)] = &[
     ("schema", Rule::ExactStr),
     ("mode", Rule::Info),
@@ -94,6 +94,7 @@ const RULES: &[(&str, Rule)] = &[
     ("fleet10k_ctrl_ticks_per_sec", Rule::RateFloor),
     ("chaos_events_per_sec", Rule::RateFloor),
     ("failover_ops_per_sec", Rule::RateFloor),
+    ("powercap_regrants_per_sec", Rule::RateFloor),
     ("steady_cache_hit_rate", Rule::HitRateFloor),
     ("par_workers", Rule::Info),
 ];
@@ -257,7 +258,7 @@ pub fn check(baseline: &str, current: &str) -> Result<CheckReport, String> {
 mod tests {
     use super::*;
 
-    const BASELINE: &str = r#"{"schema":"ic-bench/kernels/v7","mode":"quick","engine_events_per_sec":22918209.2,"engine_ms_per_100k_events":4.363,"engine_steady_events_per_sec":26229326.6,"engine_steady_allocs_per_event":0,"normal_ns_per_sample_v1":30.5,"normal_ns_per_sample_v2":5.6,"mgk_events_per_sec":8930852.6,"mgk_events_per_sec_v2":14500000.0,"mgk_boxed_events":0,"table11_wall_ms":1617.3,"sweep_runs_per_sec":6.6,"composed_ctrl_ticks_per_sec":120.0,"composed_ctrl_ticks_per_sec_v2":240.0,"fleet_snapshot_ns_per_vm":45.0,"fleet10k_ctrl_ticks_per_sec":300.0,"chaos_events_per_sec":1200000.0,"failover_ops_per_sec":4500.0,"steady_cache_hit_rate":0.996,"par_workers":1}"#;
+    const BASELINE: &str = r#"{"schema":"ic-bench/kernels/v8","mode":"quick","engine_events_per_sec":22918209.2,"engine_ms_per_100k_events":4.363,"engine_steady_events_per_sec":26229326.6,"engine_steady_allocs_per_event":0,"normal_ns_per_sample_v1":30.5,"normal_ns_per_sample_v2":5.6,"mgk_events_per_sec":8930852.6,"mgk_events_per_sec_v2":14500000.0,"mgk_boxed_events":0,"table11_wall_ms":1617.3,"sweep_runs_per_sec":6.6,"composed_ctrl_ticks_per_sec":120.0,"composed_ctrl_ticks_per_sec_v2":240.0,"fleet_snapshot_ns_per_vm":45.0,"fleet10k_ctrl_ticks_per_sec":300.0,"chaos_events_per_sec":1200000.0,"failover_ops_per_sec":4500.0,"powercap_regrants_per_sec":9000000.0,"steady_cache_hit_rate":0.996,"par_workers":1}"#;
 
     #[test]
     fn identical_snapshot_passes_every_key() {
@@ -316,7 +317,7 @@ mod tests {
 
     #[test]
     fn schema_mismatch_and_missing_key_fail() {
-        let wrong_schema = BASELINE.replace("kernels/v7", "kernels/v6");
+        let wrong_schema = BASELINE.replace("kernels/v8", "kernels/v7");
         assert!(!check(BASELINE, &wrong_schema).unwrap().passed());
         let missing = BASELINE.replace("\"table11_wall_ms\":1617.3,", "");
         let report = check(BASELINE, &missing).unwrap();
@@ -378,6 +379,25 @@ mod tests {
             .map(|r| r.key)
             .collect();
         assert_eq!(failed, ["failover_ops_per_sec"], "{}", report.render());
+    }
+
+    #[test]
+    fn powercap_regrant_collapse_fails_the_gate() {
+        // A capping tick that sorts the fleet again, or a grant write
+        // that searches for its row, costs several times the two-pass
+        // plan at 250k domains.
+        let slow = BASELINE.replace(
+            "\"powercap_regrants_per_sec\":9000000.0",
+            "\"powercap_regrants_per_sec\":2000000.0",
+        );
+        let report = check(BASELINE, &slow).unwrap();
+        let failed: Vec<&str> = report
+            .results
+            .iter()
+            .filter(|r| !r.passed)
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(failed, ["powercap_regrants_per_sec"], "{}", report.render());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use crate::action::{Action, FreqTarget};
 use crate::controller::Controller;
-use crate::telemetry::TelemetrySnapshot;
+use crate::telemetry::{DomainPower, TelemetrySnapshot};
 use ic_core::governor::{GovernorDecision, OverclockGovernor};
-use ic_power::capping::{AllocScratch, PowerAllocator, PowerGrant, PowerRequest};
+use ic_power::capping::{CapPlan, PowerAllocator, PowerRequest};
 use ic_power::units::Frequency;
 use ic_sim::time::SimTime;
 use std::fmt;
@@ -120,16 +120,16 @@ impl Controller for GovernorController {
     crate::impl_controller_downcast!();
 }
 
-/// Priority-aware power capping as a controller: each tick it re-runs
+/// Priority-aware power capping as a controller: each tick it re-plans
 /// the [`PowerAllocator`] over the power domains' current demand and
 /// emits [`Action::GrantPower`] for every domain whose grant moved.
+///
+/// A tick is two sequential passes over the domain rows — one to plan,
+/// one to diff each row's grant against the plan — with nothing
+/// materialised per domain.
 pub struct PowerCapController {
     allocator: PowerAllocator,
-    last_grants: Vec<PowerGrant>,
-    /// Request rows rebuilt from the power section each re-allocation
-    /// (reused, never reallocated at steady state).
-    requests: Vec<PowerRequest>,
-    scratch: AllocScratch,
+    last_plan: Option<CapPlan>,
     /// See [`GovernorController::last_power_version`]: the allocation
     /// is a pure function of the power section, so an unchanged
     /// version short-circuits the whole scan.
@@ -141,9 +141,7 @@ impl PowerCapController {
     pub fn new(allocator: PowerAllocator) -> Self {
         PowerCapController {
             allocator,
-            last_grants: Vec::new(),
-            requests: Vec::new(),
-            scratch: AllocScratch::default(),
+            last_plan: None,
             last_power_version: None,
         }
     }
@@ -153,9 +151,19 @@ impl PowerCapController {
         self.allocator.budget_w()
     }
 
-    /// The most recent allocation, in request order.
-    pub fn last_grants(&self) -> &[PowerGrant] {
-        &self.last_grants
+    /// The most recent allocation plan, if any tick has planned.
+    pub fn last_plan(&self) -> Option<CapPlan> {
+        self.last_plan
+    }
+}
+
+/// The capping request a power row stands for.
+fn request(row: &DomainPower) -> PowerRequest {
+    PowerRequest {
+        id: row.domain,
+        priority: row.priority,
+        floor_w: row.floor_w,
+        demand_w: row.demand_w,
     }
 }
 
@@ -172,30 +180,22 @@ impl Controller for PowerCapController {
             return Vec::new();
         }
         self.last_power_version = Some(power.version);
-        self.requests.clear();
-        self.requests
-            .extend(power.domains.iter().map(|d| PowerRequest {
-                id: d.domain,
-                priority: d.priority,
-                floor_w: d.floor_w,
-                demand_w: d.demand_w,
-            }));
-        self.allocator
-            .try_allocate_into(&self.requests, &mut self.scratch, &mut self.last_grants)
+        let plan = self
+            .allocator
+            .try_plan(power.domains.iter().map(request))
             .unwrap_or_else(|e| panic!("{e}"));
-        let mut actions = Vec::new();
-        // Requests were built from the domain rows in order and grants
-        // come back in request order, so grant i belongs to domain row
-        // i — no per-grant search.
-        for (grant, row) in self.last_grants.iter().zip(&power.domains) {
-            if row.granted_w != grant.granted_w {
-                actions.push(Action::GrantPower {
-                    domain: grant.id,
-                    watts: grant.granted_w,
-                });
-            }
-        }
-        actions
+        self.last_plan = Some(plan);
+        power
+            .domains
+            .iter()
+            .filter_map(|row| {
+                let watts = plan.grant(&request(row)).granted_w;
+                (row.granted_w != watts).then_some(Action::GrantPower {
+                    domain: row.domain,
+                    watts,
+                })
+            })
+            .collect()
     }
 
     crate::impl_controller_downcast!();
@@ -336,7 +336,7 @@ impl Controller for FailoverController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{ClusterTelemetry, DomainPower, PowerTelemetry};
+    use crate::telemetry::{ClusterTelemetry, PowerTelemetry};
     use ic_power::capping::Priority;
 
     fn snapshot_with_power(
@@ -440,7 +440,16 @@ mod tests {
         // correct because an identical section yields the identical
         // allocation, whose actions the change suppression would drop.
         assert!(cap.observe(&snap).is_empty());
-        assert_eq!(cap.last_grants().len(), 1, "last allocation is kept");
+        let rows = snap.power.as_ref().expect("power section").domains.iter();
+        assert_eq!(
+            cap.last_plan(),
+            Some(
+                PowerAllocator::new(300.0)
+                    .try_plan(rows.map(request))
+                    .unwrap()
+            ),
+            "last allocation is kept"
+        );
     }
 
     #[test]

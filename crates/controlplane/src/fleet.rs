@@ -29,6 +29,7 @@ use ic_sim::time::SimTime;
 use ic_thermal::junction::ThermalInterface;
 use ic_workloads::mgk::ClientServerSim;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Assembles the per-VM telemetry section from `sim` at `now`: one
 /// [`VmTelemetry`] per active VM, in the sim's stable activation order
@@ -367,7 +368,13 @@ pub struct FleetWorld {
     parked: Vec<u64>,
     budget_w: f64,
     domains: Vec<DomainSpec>,
-    grants: BTreeMap<u64, f64>,
+    /// Authoritative grant per domain row (`None` = ungranted, the row
+    /// reports its floor), kept apart from the snapshot rows so
+    /// [`FleetWorld::recompute_snapshot`] stays a real differential
+    /// check.
+    grants: Vec<Option<f64>>,
+    /// Rows of `grants` that are `Some`.
+    granted: usize,
     /// The persistent snapshot [`World::telemetry`] hands out. VM rows
     /// are refilled (allocation-free) each tick; the power and fault
     /// sections and the failed-server list are updated in place at
@@ -389,6 +396,65 @@ pub struct FleetWorld {
     failures_applied: u64,
     /// Parked VMs successfully migrated back into service.
     recovered_vms: u64,
+}
+
+/// A borrowed view of a [`FleetWorld`]'s power grants by domain id,
+/// as returned by [`FleetWorld::grants`]. Iterates `(&domain, &watts)`
+/// in ascending domain-id order and debug-prints as a map.
+#[derive(Clone, Copy)]
+pub struct Grants<'a> {
+    domains: &'a [DomainSpec],
+    grants: &'a [Option<f64>],
+    len: usize,
+}
+
+impl<'a> Grants<'a> {
+    /// Domains currently holding a grant.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no domain holds a grant.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `(domain, watts)` pairs in ascending domain-id order.
+    pub fn iter(&self) -> GrantsIter<'a> {
+        GrantsIter {
+            rows: self.domains.iter().zip(self.grants),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Grants<'a> {
+    type Item = (&'a u64, &'a f64);
+    type IntoIter = GrantsIter<'a>;
+
+    fn into_iter(self) -> GrantsIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Grants<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`Grants`] view.
+#[derive(Clone)]
+pub struct GrantsIter<'a> {
+    rows: std::iter::Zip<std::slice::Iter<'a, DomainSpec>, std::slice::Iter<'a, Option<f64>>>,
+}
+
+impl<'a> Iterator for GrantsIter<'a> {
+    type Item = (&'a u64, &'a f64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.rows
+            .find_map(|(d, g)| g.as_ref().map(|watts| (&d.domain, watts)))
+    }
 }
 
 /// Runtime state of fault injection (the actuation side; the event
@@ -524,9 +590,9 @@ impl FleetWorld {
             vm_map.insert(vm, cid);
             vm_of.insert(cid, vm);
         }
-        // In-place power-row updates binary-search by domain id, so the
-        // spec order must be ascending (it doubles as the stable
-        // telemetry order).
+        // Power-row lookups index dense ids directly and binary-search
+        // sparse ones, so the spec order must be ascending (it doubles
+        // as the stable telemetry order).
         assert!(
             config.domains.windows(2).all(|w| w[0].domain < w[1].domain),
             "domain ids must be strictly ascending"
@@ -584,8 +650,9 @@ impl FleetWorld {
             vm_of,
             parked: Vec::new(),
             budget_w: config.budget_w,
+            grants: vec![None; config.domains.len()],
+            granted: 0,
             domains: config.domains,
-            grants: BTreeMap::new(),
             snap,
             cluster_dirty: true,
             power_model,
@@ -620,8 +687,12 @@ impl FleetWorld {
     }
 
     /// Current power grants by domain id.
-    pub fn grants(&self) -> &BTreeMap<u64, f64> {
-        &self.grants
+    pub fn grants(&self) -> Grants<'_> {
+        Grants {
+            domains: &self.domains,
+            grants: &self.grants,
+            len: self.granted,
+        }
     }
 
     /// Fleet-wide demand refreshes the power model has performed (0
@@ -725,7 +796,7 @@ impl FleetWorld {
                         .power_model
                         .as_ref()
                         .map_or(d.demand_w, |m| m.recompute_demand_for(i)),
-                    granted_w: self.grants.get(&d.domain).copied().unwrap_or(d.floor_w),
+                    granted_w: self.grants[i].unwrap_or(d.floor_w),
                 })
                 .collect(),
         });
@@ -746,19 +817,34 @@ impl FleetWorld {
         snapshot
     }
 
-    /// Updates one power row in place (rows are in ascending domain-id
-    /// order) and bumps the section version. Returns `false` for an
-    /// unknown domain.
-    fn set_grant_row(&mut self, domain: u64, granted_w: f64) -> bool {
-        let power = self.snap.power.as_mut().expect("fleet models power");
-        match power.domains.binary_search_by_key(&domain, |d| d.domain) {
-            Ok(i) => {
-                power.domains[i].granted_w = granted_w;
-                power.version += 1;
-                true
-            }
-            Err(_) => false,
+    /// The row (index into `domains`, the grants and the snapshot's
+    /// power rows) of `domain`. Ids are strictly ascending, so in the
+    /// common dense layout row `domain` holds id `domain` and the lookup
+    /// is O(1); sparse ids fall back to a binary search.
+    fn row_of(&self, domain: u64) -> Option<usize> {
+        usize::try_from(domain)
+            .ok()
+            .filter(|&row| self.domains.get(row).is_some_and(|d| d.domain == domain))
+            .or_else(|| {
+                self.domains
+                    .binary_search_by_key(&domain, |d| d.domain)
+                    .ok()
+            })
+    }
+
+    /// Sets row `row`'s authoritative grant (`None` revokes it),
+    /// mirrors the reported watts into the snapshot row and bumps the
+    /// power section version.
+    fn set_grant(&mut self, row: usize, grant: Option<f64>) {
+        match (self.grants[row].is_some(), grant.is_some()) {
+            (false, true) => self.granted += 1,
+            (true, false) => self.granted -= 1,
+            _ => {}
         }
+        self.grants[row] = grant;
+        let power = self.snap.power.as_mut().expect("fleet models power");
+        power.domains[row].granted_w = grant.unwrap_or(self.domains[row].floor_w);
+        power.version += 1;
     }
 
     /// Recomputes demand rows after a fleet-wide frequency change (only
@@ -890,35 +976,27 @@ impl World for FleetWorld {
                 }
                 outcome
             }
-            Action::GrantPower { domain, watts } => {
-                if self.set_grant_row(*domain, *watts) {
-                    self.grants.insert(*domain, *watts);
+            Action::GrantPower { domain, watts } => match self.row_of(*domain) {
+                Some(row) => {
+                    self.set_grant(row, Some(*watts));
                     Outcome::PowerGranted {
                         domain: *domain,
                         watts: *watts,
                     }
-                } else {
-                    Outcome::Rejected {
-                        reason: "unknown power domain",
-                    }
                 }
-            }
-            Action::RevokePower { domain } => {
-                if self.grants.remove(domain).is_some() {
-                    let floor = self
-                        .domains
-                        .iter()
-                        .find(|d| d.domain == *domain)
-                        .map(|d| d.floor_w)
-                        .expect("grant existed, so the domain does");
-                    self.set_grant_row(*domain, floor);
+                None => Outcome::Rejected {
+                    reason: "unknown power domain",
+                },
+            },
+            Action::RevokePower { domain } => match self.row_of(*domain) {
+                Some(row) if self.grants[row].is_some() => {
+                    self.set_grant(row, None);
                     Outcome::Applied
-                } else {
-                    Outcome::Rejected {
-                        reason: "no grant to revoke",
-                    }
                 }
-            }
+                _ => Outcome::Rejected {
+                    reason: "no grant to revoke",
+                },
+            },
             Action::FailServer { server } => match self.cluster.fail_server(now, *server) {
                 Ok(report) => {
                     // Downtime accounting: only a healthy → failed
@@ -1296,12 +1374,23 @@ mod tests {
     /// step — sometimes with intervening telemetry reads, sometimes
     /// with several actions batched between reads — that the
     /// incrementally maintained snapshot is bitwise-identical to a
-    /// from-scratch recompute.
-    fn check_incremental_matches_recompute(mut world: FleetWorld, seed: u64, steps: usize) {
+    /// from-scratch recompute. Grants and revokes draw their domain
+    /// from `power_ids` (known and unknown ids alike); after every step
+    /// [`FleetWorld::grants`] must equal a `BTreeMap` model of the
+    /// accepted grants, and each power verb's outcome must match what
+    /// the model predicts.
+    fn check_incremental_matches_recompute(
+        mut world: FleetWorld,
+        seed: u64,
+        steps: usize,
+        power_ids: &[u64],
+    ) {
         use ic_sim::rng::SimRng;
         let mut rng = SimRng::seed_from_u64(seed);
         let mut t = SimTime::ZERO;
         let servers = world.cluster().servers().len();
+        let known: Vec<u64> = world.domains.iter().map(|d| d.domain).collect();
+        let mut model: BTreeMap<u64, f64> = BTreeMap::new();
         for step in 0..steps {
             t += SimDuration::from_secs_f64(rng.uniform_range(0.1, 5.0));
             world.advance_to(t);
@@ -1337,13 +1426,21 @@ mod tests {
                     );
                 }
                 3 => {
-                    let domain = rng.index(3) as u64; // includes an unknown id
+                    let domain = power_ids[rng.index(power_ids.len())];
                     let watts = rng.uniform_range(150.0, 305.0);
-                    let _ = world.apply(t, "prop", &Action::GrantPower { domain, watts });
+                    let outcome = world.apply(t, "prop", &Action::GrantPower { domain, watts });
+                    if known.contains(&domain) {
+                        model.insert(domain, watts);
+                        assert_eq!(outcome, Outcome::PowerGranted { domain, watts });
+                    } else {
+                        assert!(!outcome.accepted(), "grant to unknown domain {domain}");
+                    }
                 }
                 4 => {
-                    let domain = rng.index(3) as u64;
-                    let _ = world.apply(t, "prop", &Action::RevokePower { domain });
+                    let domain = power_ids[rng.index(power_ids.len())];
+                    let outcome = world.apply(t, "prop", &Action::RevokePower { domain });
+                    let had_grant = model.remove(&domain).is_some();
+                    assert_eq!(outcome.accepted(), had_grant, "revoke of domain {domain}");
                 }
                 5 => {
                     let server = rng.index(servers);
@@ -1380,6 +1477,10 @@ mod tests {
                     let _ = world.apply(t, "prop", &Action::SetShare { share });
                 }
             }
+            let grants: BTreeMap<u64, f64> = world.grants().iter().map(|(&d, &w)| (d, w)).collect();
+            assert_eq!(grants, model, "grants at step {step} (seed {seed})");
+            assert_eq!(world.grants().len(), model.len());
+            assert_eq!(format!("{:?}", world.grants()), format!("{model:?}"));
             // Sometimes skip the read so dirt accumulates across
             // several actuations before the next refresh.
             if rng.index(3) == 0 {
@@ -1401,7 +1502,41 @@ mod tests {
     fn incremental_snapshot_matches_recompute_under_random_actuation() {
         for seed in [11, 52, 93] {
             let config = FleetConfigBuilder::small(seed).initial_vms(3).build();
-            check_incremental_matches_recompute(FleetWorld::new(config), seed, 120);
+            check_incremental_matches_recompute(FleetWorld::new(config), seed, 120, &[0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn incremental_snapshot_matches_recompute_with_sparse_domain_ids() {
+        // Row i does not hold id i, so every known id goes through the
+        // binary-search fallback; 0, 4, 12 and 41 are unknown, inside
+        // and past the id range.
+        let ids = [3, 10, 11, 40];
+        for seed in [17, 58] {
+            let config = FleetConfigBuilder::small(seed)
+                .initial_vms(3)
+                .domains(
+                    ids.iter()
+                        .enumerate()
+                        .map(|(i, &domain)| DomainSpec {
+                            domain,
+                            priority: if i % 2 == 0 {
+                                Priority::Critical
+                            } else {
+                                Priority::Batch
+                            },
+                            floor_w: 100.0 + i as f64,
+                            demand_w: 250.0,
+                        })
+                        .collect(),
+                )
+                .build();
+            let world = FleetWorld::new(config);
+            assert_eq!(world.row_of(10), Some(1));
+            assert_eq!(world.row_of(3), Some(0));
+            assert_eq!(world.row_of(0), None);
+            assert_eq!(world.row_of(u64::MAX), None);
+            check_incremental_matches_recompute(world, seed, 200, &[0, 3, 4, 10, 11, 12, 40, 41]);
         }
     }
 
@@ -1426,7 +1561,7 @@ mod tests {
                 })
                 .build();
             let world = FleetWorld::new(config);
-            check_incremental_matches_recompute(world, seed, 120);
+            check_incremental_matches_recompute(world, seed, 120, &[0, 1, 2]);
         }
     }
 
@@ -1437,7 +1572,7 @@ mod tests {
                 .initial_vms(3)
                 .faults(FaultConfig::disabled())
                 .build();
-            check_incremental_matches_recompute(FleetWorld::new(config), seed, 160);
+            check_incremental_matches_recompute(FleetWorld::new(config), seed, 160, &[0, 1, 2]);
         }
     }
 

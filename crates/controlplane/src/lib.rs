@@ -39,7 +39,7 @@ pub mod telemetry;
 pub use action::{Action, FreqTarget, Outcome};
 pub use controller::{Controller, TickReport, World};
 pub use controllers::ScriptError;
-pub use fleet::{DomainSpec, FleetConfig, FleetConfigBuilder, FleetWorld, PowerModelSpec};
+pub use fleet::{DomainSpec, FleetConfig, FleetConfigBuilder, FleetWorld, Grants, PowerModelSpec};
 pub use plane::{ControlPlane, ControllerId, FaultPlan};
 pub use telemetry::{
     ClusterTelemetry, DomainPower, FaultTelemetry, PowerTelemetry, TelemetrySnapshot, VmTelemetry,

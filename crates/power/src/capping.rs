@@ -77,14 +77,48 @@ pub struct PowerGrant {
     pub capped: bool,
 }
 
-/// Reusable working buffers for
-/// [`PowerAllocator::try_allocate_into`]: the priority-sorted index
-/// permutation and the per-request running grants. One instance per
-/// control loop; contents are scratch only (cleared on every call).
-#[derive(Debug, Clone, Default)]
-pub struct AllocScratch {
-    order: Vec<usize>,
-    granted: Vec<f64>,
+/// How a [`CapPlan`] serves one priority class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ClassGrant {
+    /// Every member receives its full demand.
+    Full,
+    /// Every member receives `floor + (demand − floor) × share`.
+    Share(f64),
+}
+
+/// One allocation reduced to its per-class decisions.
+///
+/// The allocator's policy depends on the requests only through a few
+/// aggregates (the floor total and each class's headroom), so a plan is
+/// one decision per priority class however many consumers it covers.
+/// Built by
+/// [`PowerAllocator::try_plan`] in one pass; [`CapPlan::grant`] then
+/// turns any of those requests into its grant in O(1), so a caller can
+/// stream the grants straight off its own rows instead of collecting a
+/// grant vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CapPlan {
+    /// Indexed by `Priority as usize`.
+    classes: [ClassGrant; 3],
+}
+
+impl CapPlan {
+    /// The grant for `request`, which must be one of the requests the
+    /// plan was built from — bitwise what
+    /// [`PowerAllocator::try_allocate`] returns for it.
+    pub fn grant(&self, request: &PowerRequest) -> PowerGrant {
+        let granted_w = match self.classes[request.priority as usize] {
+            ClassGrant::Full => request.demand_w,
+            ClassGrant::Share(share) => {
+                request.floor_w + (request.demand_w - request.floor_w) * share
+            }
+        };
+        PowerGrant {
+            id: request.id,
+            granted_w,
+            capped: granted_w < request.demand_w - 1e-9,
+        }
+    }
 }
 
 /// A fixed power budget shared by prioritized consumers.
@@ -141,7 +175,8 @@ impl PowerAllocator {
         requests.iter().map(|r| r.demand_w).sum::<f64>() > self.budget_w
     }
 
-    /// Distributes the budget. Every consumer receives at least its floor
+    /// Plans the allocation of the budget over `requests` in one pass
+    /// and O(1) space. Every consumer receives at least its floor
     /// (floors are honoured even if they exceed the budget — tripping a
     /// breaker is modelled upstream, not by starving servers below
     /// operational minimums). Remaining budget is then granted in
@@ -149,90 +184,51 @@ impl PowerAllocator {
     /// is shared proportionally to each consumer's headroom
     /// (`demand − floor`).
     ///
-    /// Grants are returned in the same order as `requests`. A request
-    /// with `demand_w < floor_w` or negative values is rejected.
-    pub fn try_allocate(&self, requests: &[PowerRequest]) -> Result<Vec<PowerGrant>, CapError> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.try_allocate_into(requests, &mut AllocScratch::default(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Buffer-reusing form of [`try_allocate`](Self::try_allocate):
-    /// identical grants (bitwise — same arithmetic in the same order),
-    /// but the sort order and per-request working state live in
-    /// `scratch` and the grants land in `out` (cleared first), so a
-    /// per-tick caller allocates nothing once the buffers have grown to
-    /// the fleet size.
-    pub fn try_allocate_into(
+    /// The first request with `demand_w < floor_w`, a negative floor or
+    /// a non-finite demand is rejected.
+    pub fn try_plan(
         &self,
-        requests: &[PowerRequest],
-        scratch: &mut AllocScratch,
-        out: &mut Vec<PowerGrant>,
-    ) -> Result<(), CapError> {
-        out.clear();
+        requests: impl IntoIterator<Item = PowerRequest>,
+    ) -> Result<CapPlan, CapError> {
+        // `Iterator::sum`'s identity for f64: each running total below
+        // is then bitwise a `sum()` over the same operands in the same
+        // order — the floors in request order, each class's headroom in
+        // ascending request order.
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let mut floors = zero;
+        let mut headroom = [zero; 3];
+        let mut present = [false; 3];
         for r in requests {
             if !(r.floor_w >= 0.0 && r.demand_w >= r.floor_w && r.demand_w.is_finite()) {
-                return Err(CapError::InvalidRequest { request: r.clone() });
+                return Err(CapError::InvalidRequest { request: r });
             }
+            let class = r.priority as usize;
+            floors += r.floor_w;
+            headroom[class] += r.demand_w - r.floor_w;
+            present[class] = true;
         }
-        let floors: f64 = requests.iter().map(|r| r.floor_w).sum();
         let mut remaining = (self.budget_w - floors).max(0.0);
-
-        // Group indexes by priority, highest class served first.
-        let order = &mut scratch.order;
-        order.clear();
-        order.extend(0..requests.len());
-        order.sort_by(|&a, &b| requests[b].priority.cmp(&requests[a].priority));
-
-        let granted = &mut scratch.granted;
-        granted.clear();
-        granted.extend(requests.iter().map(|r| r.floor_w));
-        let mut i = 0;
-        while i < order.len() {
-            // Collect the whole priority class.
-            let class = requests[order[i]].priority;
-            let mut j = i;
-            while j < order.len() && requests[order[j]].priority == class {
-                j += 1;
-            }
-            let members = &order[i..j];
-            let headroom: f64 = members
-                .iter()
-                .map(|&m| requests[m].demand_w - requests[m].floor_w)
-                .sum();
-            if headroom <= remaining {
-                // Everyone in this class gets full demand.
-                for &m in members {
-                    granted[m] = requests[m].demand_w;
-                }
-                remaining -= headroom;
+        let mut classes = [ClassGrant::Full; 3];
+        // Highest class first, skipping empty classes as the sorted
+        // scan did: subtracting an empty class's −0.0 headroom would
+        // turn a −0.0 `remaining` into +0.0.
+        for class in (0..3).rev().filter(|&c| present[c]) {
+            let h = headroom[class];
+            if h <= remaining {
+                remaining -= h;
             } else {
-                // Proportional sharing of what's left.
-                let share = if headroom > 0.0 {
-                    remaining / headroom
-                } else {
-                    0.0
-                };
-                for &m in members {
-                    let h = requests[m].demand_w - requests[m].floor_w;
-                    granted[m] = requests[m].floor_w + h * share;
-                }
+                classes[class] = ClassGrant::Share(if h > 0.0 { remaining / h } else { 0.0 });
                 remaining = 0.0;
             }
-            i = j;
         }
+        Ok(CapPlan { classes })
+    }
 
-        out.extend(
-            requests
-                .iter()
-                .zip(granted.iter())
-                .map(|(r, &g)| PowerGrant {
-                    id: r.id,
-                    granted_w: g,
-                    capped: g < r.demand_w - 1e-9,
-                }),
-        );
-        Ok(())
+    /// Distributes the budget as [`try_plan`](Self::try_plan) decides,
+    /// returning the grants in the same order as `requests`.
+    pub fn try_allocate(&self, requests: &[PowerRequest]) -> Result<Vec<PowerGrant>, CapError> {
+        let plan = self.try_plan(requests.iter().cloned())?;
+        Ok(requests.iter().map(|r| plan.grant(r)).collect())
     }
 
     /// Panicking shorthand for [`PowerAllocator::try_allocate`], for
@@ -250,6 +246,7 @@ impl PowerAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_sim::rng::SimRng;
 
     fn req(id: u64, priority: Priority, floor: f64, demand: f64) -> PowerRequest {
         PowerRequest {
@@ -257,6 +254,220 @@ mod tests {
             priority,
             floor_w: floor,
             demand_w: demand,
+        }
+    }
+
+    /// The sort-based allocator the class plan replaced, kept verbatim
+    /// as the differential oracle: validate, sum the floors, stably
+    /// sort an index permutation by descending priority, then walk the
+    /// classes granting full demand or a proportional share.
+    fn reference_allocate(
+        budget_w: f64,
+        requests: &[PowerRequest],
+    ) -> Result<Vec<PowerGrant>, CapError> {
+        for r in requests {
+            if !(r.floor_w >= 0.0 && r.demand_w >= r.floor_w && r.demand_w.is_finite()) {
+                return Err(CapError::InvalidRequest { request: r.clone() });
+            }
+        }
+        let floors: f64 = requests.iter().map(|r| r.floor_w).sum();
+        let mut remaining = (budget_w - floors).max(0.0);
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by(|&a, &b| requests[b].priority.cmp(&requests[a].priority));
+        let mut granted: Vec<f64> = requests.iter().map(|r| r.floor_w).collect();
+        let mut i = 0;
+        while i < order.len() {
+            let class = requests[order[i]].priority;
+            let mut j = i;
+            while j < order.len() && requests[order[j]].priority == class {
+                j += 1;
+            }
+            let members = &order[i..j];
+            let headroom: f64 = members
+                .iter()
+                .map(|&m| requests[m].demand_w - requests[m].floor_w)
+                .sum();
+            if headroom <= remaining {
+                for &m in members {
+                    granted[m] = requests[m].demand_w;
+                }
+                remaining -= headroom;
+            } else {
+                let share = if headroom > 0.0 {
+                    remaining / headroom
+                } else {
+                    0.0
+                };
+                for &m in members {
+                    let h = requests[m].demand_w - requests[m].floor_w;
+                    granted[m] = requests[m].floor_w + h * share;
+                }
+                remaining = 0.0;
+            }
+            i = j;
+        }
+        Ok(requests
+            .iter()
+            .zip(&granted)
+            .map(|(r, &g)| PowerGrant {
+                id: r.id,
+                granted_w: g,
+                capped: g < r.demand_w - 1e-9,
+            })
+            .collect())
+    }
+
+    /// Asserts the plan path and the reference agree bitwise: the same
+    /// grant bits and `capped` flags, or the same error.
+    fn assert_matches_reference(budget_w: f64, requests: &[PowerRequest], context: &str) {
+        let want = reference_allocate(budget_w, requests);
+        let got = PowerAllocator::new(budget_w).try_allocate(requests);
+        match (&want, &got) {
+            (Ok(want), Ok(got)) => {
+                assert_eq!(want.len(), got.len(), "{context}");
+                for (w, g) in want.iter().zip(got) {
+                    assert_eq!(w.id, g.id, "{context}");
+                    assert_eq!(
+                        w.granted_w.to_bits(),
+                        g.granted_w.to_bits(),
+                        "{context}: request {} granted {} vs {}",
+                        w.id,
+                        w.granted_w,
+                        g.granted_w
+                    );
+                    assert_eq!(w.capped, g.capped, "{context}: request {}", w.id);
+                }
+            }
+            // Debug, not `==`: a rejected NaN floor never equals itself.
+            (Err(_), Err(_)) => assert_eq!(format!("{want:?}"), format!("{got:?}"), "{context}"),
+            _ => panic!("{context}: reference {want:?} vs plan {got:?}"),
+        }
+    }
+
+    /// A random request batch: a random subset of the three classes
+    /// (so some are empty), floors that are sometimes `-0.0`, some
+    /// zero-headroom rows, and — when `invalid` — one malformed row.
+    fn random_requests(rng: &mut SimRng, invalid: bool) -> Vec<PowerRequest> {
+        const CLASSES: [Priority; 3] = [Priority::Batch, Priority::Normal, Priority::Critical];
+        let classes: Vec<Priority> = loop {
+            let picked: Vec<Priority> = CLASSES.into_iter().filter(|_| rng.chance(0.6)).collect();
+            if !picked.is_empty() {
+                break picked;
+            }
+        };
+        let n = 1 + rng.index(40);
+        let mut requests: Vec<PowerRequest> = (0..n)
+            .map(|i| {
+                let floor_w = match rng.index(6) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.uniform_range(10.0, 150.0),
+                };
+                let demand_w = match rng.index(5) {
+                    0 => floor_w,
+                    _ => floor_w + rng.uniform_range(0.0, 250.0),
+                };
+                req(
+                    i as u64,
+                    classes[rng.index(classes.len())],
+                    floor_w,
+                    demand_w,
+                )
+            })
+            .collect();
+        if invalid {
+            let bad = &mut requests[rng.index(n)];
+            match rng.index(4) {
+                0 => bad.demand_w = bad.floor_w - 1.0,
+                1 => bad.floor_w = -1.0,
+                2 => bad.floor_w = f64::NAN,
+                _ => bad.demand_w = f64::INFINITY,
+            }
+        }
+        requests
+    }
+
+    #[test]
+    fn plan_matches_sort_based_reference_bitwise() {
+        let mut rng = SimRng::seed_from_u64(0xCA9);
+        for case in 0..4000 {
+            let requests = random_requests(&mut rng, case % 10 == 9);
+            let floors: f64 = requests.iter().map(|r| r.floor_w.max(0.0)).sum();
+            let demands: f64 = requests
+                .iter()
+                .map(|r| r.demand_w)
+                .filter(|d| d.is_finite())
+                .sum();
+            let budget_w = match rng.index(5) {
+                0 => 0.0,
+                // Floors alone exceed the budget.
+                1 => rng.uniform_range(0.0, 1.0) * floors,
+                2 => floors + rng.uniform_range(0.0, 1.0) * (demands - floors).max(0.0),
+                3 => demands.max(0.0),
+                _ => rng.uniform_range(0.0, 1.5) * demands.max(1.0),
+            };
+            assert_matches_reference(budget_w, &requests, &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn plan_matches_reference_on_edge_batches() {
+        let cases: Vec<(f64, Vec<PowerRequest>)> = vec![
+            (100.0, Vec::new()),
+            (0.0, vec![req(1, Priority::Critical, 50.0, 80.0)]),
+            // Zero headroom everywhere, budget below the floors.
+            (
+                10.0,
+                vec![
+                    req(1, Priority::Batch, 20.0, 20.0),
+                    req(2, Priority::Critical, 20.0, 20.0),
+                ],
+            ),
+            // Signed-zero floors and demands.
+            (
+                0.0,
+                vec![
+                    req(1, Priority::Batch, -0.0, -0.0),
+                    req(2, Priority::Batch, 0.0, 0.0),
+                    req(3, Priority::Normal, -0.0, 5.0),
+                ],
+            ),
+            // -0.0 demand over a +0.0 floor: a -0.0 headroom.
+            (
+                0.0,
+                vec![
+                    req(1, Priority::Normal, 0.0, -0.0),
+                    req(2, Priority::Batch, -0.0, 3.0),
+                ],
+            ),
+            // A -0.0 budget.
+            (
+                -0.0,
+                vec![
+                    req(1, Priority::Normal, -0.0, 5.0),
+                    req(2, Priority::Batch, 0.0, 0.0),
+                ],
+            ),
+            // Two invalid rows: the first one is reported.
+            (
+                100.0,
+                vec![
+                    req(1, Priority::Normal, 10.0, 50.0),
+                    req(2, Priority::Batch, 50.0, 10.0),
+                    req(3, Priority::Batch, -1.0, 10.0),
+                ],
+            ),
+            // Only the middle class present.
+            (
+                150.0,
+                vec![
+                    req(1, Priority::Normal, 50.0, 200.0),
+                    req(2, Priority::Normal, 10.0, 30.0),
+                ],
+            ),
+        ];
+        for (i, (budget_w, requests)) in cases.iter().enumerate() {
+            assert_matches_reference(*budget_w, requests, &format!("edge case {i}"));
         }
     }
 
