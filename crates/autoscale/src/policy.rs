@@ -1,9 +1,7 @@
 //! Auto-scaler policies and configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Which of the paper's three auto-scaling strategies to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Scale-out/in only, at fixed B2 frequency.
     Baseline,
@@ -39,7 +37,7 @@ impl Policy {
 /// utilization is the most common metric for auto-scaling, some users
 /// specify others like memory utilization, thread count, or queue
 /// length" (paper Section V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScalingMetric {
     /// Average CPU utilization of the server VMs (the paper's default).
     #[default]
@@ -50,7 +48,7 @@ pub enum ScalingMetric {
 }
 
 /// The control-loop parameters (paper Section VI-D experimental setup).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AscConfig {
     /// Scale out when the long-window mean utilization exceeds this.
     pub scale_out_threshold: f64,

@@ -3,7 +3,7 @@
 //! Figure 15/16 series and Table XI metrics.
 //!
 //! [`Runner`] is a thin [`ControlPlane`] composition: it builds a
-//! [`RunWorld`] (the client-server sim plus the run's accumulators),
+//! `RunWorld` (the client-server sim plus the run's accumulators),
 //! registers the [`AutoScaler`] at the decision period, and lets the
 //! runtime drive the ticks. The schedule application, window
 //! accounting, and host power model live in the world's
@@ -27,7 +27,6 @@ use ic_sim::series::TimeSeries;
 use ic_sim::stats::{Tally, TimeWeighted};
 use ic_sim::time::{SimDuration, SimTime};
 use ic_workloads::mgk::ClientServerSim;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant client load schedule: `(start_s, qps)` steps in
 /// ascending time order.
@@ -81,7 +80,7 @@ pub fn schedule_dwell(schedule: &Schedule) -> f64 {
 }
 
 /// Experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunnerConfig {
     /// The auto-scaler configuration.
     pub asc: AscConfig,
@@ -143,7 +142,7 @@ impl RunnerConfig {
 }
 
 /// The collected outcome of one run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// The policy that produced this result.
     pub policy: &'static str,

@@ -2,36 +2,10 @@
 //! paper's evaluation.
 //!
 //! Each experiment lives in [`experiments`] as a function returning the
-//! rendered rows/series; the `src/bin/*` binaries are thin wrappers, and
-//! `run-all` executes everything in paper order (writing the combined
-//! report that `EXPERIMENTS.md` is checked against).
-//!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `table1_cooling` | Table I — cooling-technology comparison |
-//! | `table2_fluids` | Table II — dielectric fluid properties |
-//! | `table3_turbo` | Table III — max turbo, air vs 2PIC |
-//! | `table4_failure_modes` | Table IV — failure-mode dependencies |
-//! | `table5_lifetime` | Table V — lifetime projections |
-//! | `table6_tco` | Table VI — TCO deltas |
-//! | `table7_cpu_configs` | Table VII — CPU frequency configurations |
-//! | `table8_gpu_configs` | Table VIII — GPU configurations |
-//! | `table9_apps` | Table IX — application suite |
-//! | `table11_autoscaler` | Table XI — full auto-scaler comparison |
-//! | `fig4_domains` | Figure 4 — operating domains |
-//! | `fig5_usecases` | Figure 5 — frequency bands and packing |
-//! | `fig6_buffers` | Figure 6 — static vs virtual buffers |
-//! | `fig7_capacity` | Figure 7 — capacity-crisis bridging |
-//! | `fig8_scaleup` | Figure 8 — scale-up-then-out timelines |
-//! | `fig9_cloud_workloads` | Figure 9 — per-app overclocking response |
-//! | `fig10_stream` | Figure 10 — STREAM bandwidth |
-//! | `fig11_gpu` | Figure 11 — VGG training under GPU overclocking |
-//! | `fig12_sql_oversub` | Figure 12 — SQL P95 vs pcores |
-//! | `fig13_mixed_oversub` | Figure 13 / Table X — mixed oversubscription |
-//! | `fig14_architecture` | Figure 14 — ASC components and cadences |
-//! | `fig15_validation` | Figure 15 — Equation 1 validation trace |
-//! | `fig16_utilization` | Figure 16 — policy utilization traces |
-//! | `composed_controlplane` | Composed control plane — ASC + capping + governor + failover |
+//! rendered rows/series, and [`registry`] indexes them by stable id in
+//! paper order. The `run_all` binary executes the whole registry (writing
+//! the combined report that `EXPERIMENTS.md` is checked against); `run_all
+//! --only <id>` prints one experiment and `run_all --list` shows the ids.
 
 pub mod check;
 pub mod experiments;

@@ -114,6 +114,33 @@ fn unreadable_scenario_fails_with_diagnostic() {
 }
 
 #[test]
+fn deeply_nested_scenario_fails_with_diagnostic() {
+    let dir = temp_dir("deep-scenario");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(1_000_000)).expect("write scenario");
+    let out = run_all(&["--scenario", path.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("scenario JSON parse error") && stderr.contains("nesting"),
+        "stderr was: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn only_prints_exactly_what_the_experiment_renders() {
+    assert_eq!(
+        stdout_of(&["--only", "table5"]),
+        ic_bench::experiments::tables::table5(&Scenario::paper())
+    );
+    assert_eq!(
+        stdout_of(&["--quick", "--only", "fig15"]),
+        ic_bench::experiments::figures::fig15(true)
+    );
+}
+
+#[test]
 fn paper_scenario_file_reproduces_the_default_run() {
     let dir = std::env::temp_dir().join(format!("ic-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -8,12 +8,11 @@ use ic_obs::json::Value;
 use ic_obs::trace::TraceLevel;
 use ic_obs::ObsSinks;
 use ic_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Why a cluster operation failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
     /// No server has room for the requested VM.
     InsufficientCapacity,
@@ -37,7 +36,7 @@ impl std::error::Error for ClusterError {}
 
 /// The outcome of a server failure: which VMs were re-created and which
 /// could not be placed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailoverReport {
     /// VMs successfully re-created elsewhere (old id → new host index),
     /// in ascending old-id order.
@@ -63,30 +62,24 @@ pub struct FailoverReport {
 /// * `healthy_pcores` / `allocated_vcores` — running integer totals
 ///   behind an O(1) [`packing_density`](Self::packing_density).
 ///
-/// The derived fields stay out of the serde form; deserializing goes
-/// through the authoritative-state form (`ClusterState`) and rebuilds
-/// them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "ClusterState")]
+/// [`Cluster::new`] builds the authoritative state (`ClusterState`) and
+/// derives the rest from it in one place.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     servers: Vec<Server>,
     vms: BTreeMap<VmId, VmInstance>,
     policy: PlacementPolicy,
     oversub: Oversubscription,
     next_id: u64,
-    #[serde(skip)]
     pub(crate) sinks: ObsSinks,
-    #[serde(skip)]
     hosted: BTreeSet<(usize, VmId)>,
-    #[serde(skip)]
     healthy_pcores: u32,
-    #[serde(skip)]
     allocated_vcores: u32,
 }
 
-/// The serde form of a [`Cluster`]: its authoritative state only.
-/// Converting back rebuilds the per-host index and the running totals.
-#[derive(Debug, Clone, Deserialize)]
+/// The authoritative state of a [`Cluster`]. Converting it rebuilds the
+/// per-host index and the running totals.
+#[derive(Debug, Clone)]
 struct ClusterState {
     servers: Vec<Server>,
     vms: BTreeMap<VmId, VmInstance>,

@@ -11,10 +11,7 @@
 //! * [`placement`] — first-fit / best-fit-decreasing packing with a
 //!   configurable pcore oversubscription ratio,
 //! * [`cluster`] — the inventory: create/delete VMs, fail servers,
-//!   re-create displaced VMs, and measure packing density,
-//! * [`migration`] — a live-migration cost model (the paper's stop-gap
-//!   escape hatch when oversubscription plus overclocking is not
-//!   enough).
+//!   re-create displaced VMs, and measure packing density.
 //!
 //! # Example
 //!
@@ -37,7 +34,6 @@
 
 pub mod cluster;
 pub mod lifecycle;
-pub mod migration;
 pub mod placement;
 pub mod server;
 pub mod vm;

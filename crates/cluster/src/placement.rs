@@ -6,7 +6,6 @@
 //! relies on overclocking to absorb the rare contention events.
 
 use crate::server::Server;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An invalid placement configuration.
@@ -43,7 +42,7 @@ impl std::error::Error for PlacementError {}
 /// let o = Oversubscription::ratio(1.10);
 /// assert_eq!(o.vcore_capacity(48), 52);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Oversubscription {
     ratio: f64,
 }
@@ -88,7 +87,7 @@ impl Oversubscription {
 }
 
 /// The packing heuristic used to choose a host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
     /// First server with room, in index order.
     FirstFit,

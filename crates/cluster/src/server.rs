@@ -1,10 +1,9 @@
 //! Physical hosts.
 
 use ic_power::units::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// The hardware shape of a server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
     pcores: u32,
     memory_gb: f64,
@@ -80,7 +79,7 @@ impl ServerSpec {
 }
 
 /// A server's live state inside a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     spec: ServerSpec,
     allocated_vcores: u32,

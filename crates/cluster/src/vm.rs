@@ -1,12 +1,11 @@
 //! Virtual machine specifications and instances.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A VM's scheduling class, mirroring the paper's distinction between
 /// latency-sensitive and batch workloads and the power-capping priority
 /// ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VmClass {
     /// Ordinary third-party VM.
     #[default]
@@ -22,7 +21,7 @@ pub enum VmClass {
 }
 
 /// What a VM asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSpec {
     vcores: u32,
     memory_gb: f64,
@@ -81,7 +80,7 @@ impl fmt::Display for VmSpec {
 }
 
 /// An opaque VM identifier issued by the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub(crate) u64);
 
 impl fmt::Display for VmId {
@@ -91,7 +90,7 @@ impl fmt::Display for VmId {
 }
 
 /// A placed VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmInstance {
     /// The VM's identifier.
     pub id: VmId,

@@ -9,10 +9,9 @@
 //! or memory overclocking can shorten.
 
 use ic_telemetry::counters::CounterDelta;
-use serde::{Deserialize, Serialize};
 
 /// The component a workload would benefit most from overclocking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverclockTarget {
     /// Productive cycles dominate: overclock the core.
     Core,
@@ -25,7 +24,7 @@ pub enum OverclockTarget {
 }
 
 /// The outcome of analyzing one telemetry interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BottleneckAnalysis {
     /// The recommended overclock target.
     pub target: OverclockTarget,
@@ -39,7 +38,7 @@ pub struct BottleneckAnalysis {
 }
 
 /// Tunable classification thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BottleneckThresholds {
     /// Below this utilization the VM is considered idle.
     pub idle_utilization: f64,

@@ -10,10 +10,9 @@
 //! (lifetime-consuming, to be spent against wear credit).
 
 use ic_power::units::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// Where a frequency falls in the operating range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Below the minimum operating frequency.
     BelowMinimum,
@@ -55,7 +54,7 @@ impl Domain {
 /// assert_eq!(d.classify(Frequency::from_ghz(3.0)), Domain::Guaranteed);
 /// assert_eq!(d.classify(Frequency::from_ghz(4.0)), Domain::OverclockGreen);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingDomains {
     minimum: Frequency,
     base: Frequency,

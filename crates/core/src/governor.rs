@@ -23,10 +23,9 @@ use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use ic_reliability::stability::StabilityModel;
 use ic_thermal::junction::ThermalInterface;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of a governor instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GovernorConfig {
     /// The service-life target the fleet must meet, years.
     pub target_lifetime_years: f64,
@@ -45,7 +44,7 @@ impl Default for GovernorConfig {
 }
 
 /// The governor's answer, with the binding constraint made explicit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GovernorDecision {
     /// The granted frequency.
     pub frequency: Frequency,
@@ -60,7 +59,7 @@ pub struct GovernorDecision {
 }
 
 /// The constraint that determined a [`GovernorDecision`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Constraint {
     /// The request itself was lower than every ceiling.
     Request,

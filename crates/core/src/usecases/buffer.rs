@@ -9,10 +9,9 @@
 use ic_cluster::cluster::{Cluster, FailoverReport};
 use ic_power::units::Frequency;
 use ic_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of absorbing a failure with a virtual buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualBufferReport {
     /// The underlying re-placement report.
     pub failover: FailoverReport,

@@ -6,10 +6,8 @@
 //! sells more (oversubscribed, overclock-compensated) vcores, provided
 //! memory and storage still fit.
 
-use serde::{Deserialize, Serialize};
-
 /// A point-in-time supply/demand picture, in vcores.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacitySnapshot {
     /// Demand forecast, vcores.
     pub demand_vcores: f64,
@@ -41,7 +39,7 @@ impl CapacitySnapshot {
 
 /// A demand/supply trajectory: the Figure 7 picture, quarter by
 /// quarter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityTimeline {
     periods: Vec<CapacitySnapshot>,
 }

@@ -10,10 +10,9 @@ use crate::domains::OperatingDomains;
 use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use ic_reliability::wear::WearTracker;
-use serde::{Deserialize, Serialize};
 
 /// The VM performance classes a provider can sell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmPerformanceClass {
     /// Guaranteed base frequency.
     Regular,

@@ -9,11 +9,10 @@
 
 use ic_cluster::placement::Oversubscription;
 use ic_power::units::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// A plan coupling an oversubscription ratio with the overclock that
 /// makes it performance-neutral.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackingPlan {
     /// The vcore:pcore ratio to sell.
     pub oversubscription: Oversubscription,

@@ -32,7 +32,7 @@
 //!   on this crate.
 //!
 //! Everything is single-threaded (like the simulator) and heap-bounded;
-//! the only dependency besides `ic-sim` is the serde facade.
+//! the only code it uses beyond `std` is `ic-sim`.
 //!
 //! # Environment: `IC_OBS_LEVEL`
 //!

@@ -10,7 +10,6 @@
 //! demand exceeds the budget it satisfies consumers in priority order,
 //! reducing the lowest-priority consumers toward their floors first.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An invalid capping configuration or request.
@@ -42,7 +41,7 @@ impl std::error::Error for CapError {}
 
 /// How important a power consumer is when the budget runs short.
 /// Higher variants are throttled later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Preemptible batch work: first to be capped.
     Batch = 0,
@@ -53,7 +52,7 @@ pub enum Priority {
 }
 
 /// One server (or socket) asking for power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerRequest {
     /// Caller-chosen identifier, returned in the grant.
     pub id: u64,
@@ -67,7 +66,7 @@ pub struct PowerRequest {
 }
 
 /// A consumer's share of the budget after allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerGrant {
     /// Matches the request id.
     pub id: u64,
@@ -138,7 +137,7 @@ impl CapPlan {
 /// assert_eq!(grants[1].granted_w, 200.0);
 /// assert!(grants[1].capped);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerAllocator {
     budget_w: f64,
 }

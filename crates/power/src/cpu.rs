@@ -19,7 +19,6 @@ use crate::leakage::LeakageModel;
 use crate::units::{Frequency, Voltage};
 use crate::vf::VfCurve;
 use ic_thermal::junction::ThermalInterface;
-use serde::{Deserialize, Serialize};
 
 /// A processor SKU with a calibrated power model.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((ss.power_w - 205.0).abs() < 3.0);
 /// assert!((ss.tj_c - 92.0).abs() < 1.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSku {
     name: String,
     cores: u32,
@@ -50,7 +49,7 @@ pub struct CpuSku {
 }
 
 /// A solved steady-state operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyState {
     /// Total socket power in watts.
     pub power_w: f64,

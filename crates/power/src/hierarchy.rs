@@ -10,10 +10,9 @@
 //! squeezes its own racks before neighbours feel anything.
 
 use crate::capping::{PowerAllocator, PowerGrant, PowerRequest};
-use serde::{Deserialize, Serialize};
 
 /// A node in the power-delivery tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerDomain {
     name: String,
     budget_w: f64,

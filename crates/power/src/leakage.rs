@@ -8,7 +8,6 @@
 //! exactly that.
 
 use ic_scenario::{LeakageSpec, PowerCalibration};
-use serde::{Deserialize, Serialize};
 
 use crate::units::Voltage;
 
@@ -26,7 +25,7 @@ use crate::units::Voltage;
 /// let saved = m.power_w(92.0, v) - m.power_w(68.0, v);
 /// assert!((saved - 11.0).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageModel {
     /// Scale factor, watts at V = 1 V and T = 0 °C.
     k: f64,

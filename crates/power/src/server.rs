@@ -12,10 +12,9 @@
 use crate::leakage::LeakageModel;
 use crate::units::{Frequency, Voltage};
 use ic_thermal::technology::CoolingTechnology;
-use serde::{Deserialize, Serialize};
 
 /// One power-drawing server component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Component label, e.g. `"cpu"`, `"memory"`, `"fans"`.
     pub name: String,
@@ -35,7 +34,7 @@ pub struct Component {
 /// let immersed = air.immersed();
 /// assert_eq!(immersed.total_w(), 658.0); // fans removed
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerPower {
     components: Vec<Component>,
 }
@@ -155,7 +154,7 @@ impl ServerPower {
 /// assert_eq!(m.dimm_w(Frequency::from_ghz(2.4)), 5.0);
 /// assert!((m.dimm_w(Frequency::from_ghz(3.0)) - 6.25).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryPower {
     base_w: f64,
     base_f: Frequency,
@@ -183,7 +182,7 @@ impl MemoryPower {
 
 /// The Section IV per-server power-savings decomposition for moving a
 /// server from an air-cooled datacenter into 2PIC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImmersionSavings {
     /// Static-power saving from cooler junctions, both sockets, watts.
     pub static_w: f64,

@@ -14,11 +14,10 @@ use crate::cache::SteadyStateCache;
 use crate::cpu::CpuSku;
 use crate::units::Frequency;
 use ic_thermal::junction::ThermalInterface;
-use serde::{Deserialize, Serialize};
 
 /// A derived turbo table: the highest per-core frequency for each
 /// active-core count, under a given cooling interface and power limit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TurboTable {
     /// `entries[n-1]` = max frequency with `n` active cores.
     entries: Vec<Frequency>,

@@ -6,7 +6,6 @@
 //! arithmetic. [`Voltage`] is stored in integer millivolts, matching the
 //! Table VII/VIII "voltage offset (mV)" knobs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The size of one processor frequency bin: 100 MHz.
@@ -24,9 +23,7 @@ pub const BIN_MHZ: u32 = 100;
 /// assert_eq!(oc, Frequency::from_ghz(4.1));
 /// assert!((oc.ratio_to(base) - 1.206).abs() < 1e-3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Frequency(u32);
 
 impl Frequency {
@@ -108,9 +105,7 @@ impl fmt::Display for Frequency {
 /// let oc = nominal.with_offset_mv(80);
 /// assert_eq!(oc, Voltage::from_volts(0.98));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Voltage(u32);
 
 impl Voltage {

@@ -9,7 +9,6 @@
 
 use crate::units::{Frequency, Voltage};
 use ic_scenario::{PowerCalibration, VfAnchors};
-use serde::{Deserialize, Serialize};
 
 /// A linear voltage/frequency curve anchored at the nominal operating
 /// point.
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let oc = Frequency::from_ghz(3.4 * 1.23);
 /// assert!((curve.voltage_for(oc).volts() - 0.98).abs() < 0.005);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfCurve {
     anchor_f: Frequency,
     anchor_v: Voltage,

@@ -7,7 +7,6 @@
 pub use crate::mechanisms::OperatingConditions;
 use crate::mechanisms::{Electromigration, FailureMechanism, GateOxideBreakdown, ThermalCycling};
 use ic_scenario::ReliabilityCalibration;
-use serde::{Deserialize, Serialize};
 
 /// A composite (series-system) lifetime model.
 ///
@@ -30,7 +29,7 @@ pub struct CompositeLifetimeModel {
 }
 
 /// One mechanism's contribution to the total failure rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateContribution {
     /// The mechanism name (Table IV row).
     pub mechanism: &'static str,
@@ -137,7 +136,7 @@ impl CompositeLifetimeModel {
 
 /// One row of Table V: a named (cooling, overclocking) configuration and
 /// its operating conditions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5Row {
     /// Cooling label ("Air cooling", "FC-3284", "HFE-7000").
     pub cooling: &'static str,

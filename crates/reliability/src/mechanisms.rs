@@ -13,14 +13,13 @@
 use ic_scenario::{
     ElectromigrationSpec, GateOxideSpec, ReliabilityCalibration, ThermalCyclingSpec,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Boltzmann constant in eV/K.
 pub const KB_EV_PER_K: f64 = 8.617e-5;
 
 /// The operating point a mechanism is evaluated at.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingConditions {
     voltage_v: f64,
     tj_max_c: f64,
@@ -111,7 +110,7 @@ pub trait FailureMechanism: fmt::Debug {
 /// temperature dependence at these thin oxides (DiMaria & Stathis \[19\]).
 ///
 /// `rate = A · exp(γ·V) · exp(−Ea / kT)`
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateOxideBreakdown {
     /// Pre-factor, 1/years.
     pub a: f64,
@@ -163,7 +162,7 @@ impl FailureMechanism for GateOxideBreakdown {
 /// grows steeply toward the air-cooled overclocked operating point.
 ///
 /// `rate = A · exp(−Ea / kT)`
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Electromigration {
     /// Pre-factor, 1/years.
     pub a: f64,
@@ -212,7 +211,7 @@ impl FailureMechanism for Electromigration {
 /// the paper's core reliability argument for 2PIC.
 ///
 /// `rate = B · ΔT^q`
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalCycling {
     /// Pre-factor, 1/years.
     pub b: f64,

@@ -10,8 +10,6 @@
 //! [`StabilityMonitor`] implements the recommended mitigation of watching
 //! the *rate of change* of correctable-error counters.
 
-use serde::{Deserialize, Serialize};
-
 /// The stability envelope of an overclockable part.
 ///
 /// Overclock ratios are relative to all-core turbo (1.0 = turbo,
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// // At the stable ceiling, expected correctable errors stay tiny.
 /// assert!(m.expected_correctable_errors(1.23, 6.0) < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilityModel {
     stable_ceiling_ratio: f64,
     crash_ceiling_ratio: f64,
@@ -143,7 +141,7 @@ impl StabilityModel {
 /// Watches a correctable-error counter and raises an alarm when its rate
 /// of change exceeds a threshold — the paper's proposed safety mechanism
 /// for balancing overclocking against stability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StabilityMonitor {
     threshold_per_month: f64,
     last_count: u64,

@@ -11,7 +11,6 @@
 //! this much overclocking for this long?"
 
 use crate::lifetime::{CompositeLifetimeModel, OperatingConditions};
-use serde::{Deserialize, Serialize};
 
 /// Integrates consumed lifetime across operating epochs.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(wear.consumed_fraction() < 0.1);
 /// assert!(wear.credit_years(1.0) > 0.7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearTracker {
     service_target_years: f64,
     consumed_fraction: f64,

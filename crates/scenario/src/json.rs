@@ -1,12 +1,14 @@
 //! A small self-contained JSON tree, parser, and writer.
 //!
-//! The workspace vendors a hermetic `serde` stub (no `serde_json`), so
-//! scenario files are read and written by hand. The writer follows the
-//! same conventions as the observability layer's encoder: numbers use
+//! The hermetic build has no `serde_json`, so scenario files are read
+//! and written by hand. The writer follows the same conventions as the
+//! observability layer's encoder: numbers use
 //! Rust's shortest round-trip `Display` for `f64`, and strings escape
-//! `"`/`\`/`\n`/`\r`/`\t` plus all other control characters as
-//! `\u00XX` (RFC 8259). Anything the writer emits, the parser reads
-//! back to an identical tree.
+//! `"`/`\`/`\n`/`\r`/`\t` plus all other control characters and DEL
+//! as `\u00XX` (RFC 8259). Anything the writer emits, the parser reads
+//! back to an identical tree. The parser rejects documents nested deeper
+//! than [`MAX_DEPTH`], so hostile input gets a [`ParseError`] instead of
+//! overflowing the stack.
 
 use std::fmt::Write as _;
 
@@ -47,11 +49,17 @@ pub struct ParseError {
     pub message: String,
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Scenario files
+/// nest a handful of levels; the limit only bounds the parser's
+/// recursion.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -65,6 +73,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -109,12 +119,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses a container one nesting level down, refusing to open more
+    /// than [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -332,7 +357,8 @@ pub fn write_f64(out: &mut String, value: f64) {
     }
 }
 
-/// Writes a string with RFC 8259 escaping.
+/// Writes a string with RFC 8259 escaping; DEL is escaped too, as the
+/// observability layer's encoder does.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
@@ -342,7 +368,7 @@ pub fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+            c if (c as u32) < 0x20 || c == '\u{7f}' => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -372,6 +398,8 @@ mod tests {
             Json::Arr(items) => assert_eq!(items.len(), 3),
             other => panic!("expected array, got {other:?}"),
         }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]
@@ -398,7 +426,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "\"\u{0001}\"", "nul"] {
+        let deep = "[".repeat(1_000_000);
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "1 2",
+            "\"\u{0001}\"",
+            "nul",
+            &deep,
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
     }
@@ -407,5 +445,8 @@ mod tests {
     fn errors_carry_offsets() {
         let err = parse("[1, x]").unwrap_err();
         assert_eq!(err.offset, 4);
+        // The object and MAX_DEPTH - 1 arrays open; the next '[' fails.
+        let deep = format!("{{\"a\": {}", "[".repeat(MAX_DEPTH));
+        assert_eq!(parse(&deep).unwrap_err().offset, 6 + (MAX_DEPTH - 1));
     }
 }

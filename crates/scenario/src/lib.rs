@@ -12,13 +12,12 @@
 //! back ([`Scenario::from_json`]), so experiments can run against an
 //! edited calibration without recompiling.
 //!
-//! The vendored `serde` is a hermetic stub, so the JSON codec is
-//! hand-rolled in [`json`]; floats use shortest round-trip formatting,
+//! The hermetic build has no JSON library, so the codec is hand-rolled
+//! in [`json`]; floats use shortest round-trip formatting,
 //! which makes `paper() → JSON → from_json` reproduce every field
 //! bit-for-bit.
 
 use ic_sim::StreamVersion;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -90,7 +89,7 @@ pub fn intern(s: &str) -> &'static str {
 // ---------------------------------------------------------------------
 
 /// A complete calibration scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Human-readable scenario name.
     pub name: String,
@@ -117,7 +116,7 @@ pub struct Scenario {
 
 /// Thermal calibration: Table II fluids, Table III platform fits, and
 /// the three tank prototypes of Section 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalCalibration {
     /// Dielectric fluids (Table II).
     pub fluids: Vec<FluidSpec>,
@@ -128,7 +127,7 @@ pub struct ThermalCalibration {
 }
 
 /// One Table II dielectric fluid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FluidSpec {
     /// Marketing name, e.g. `"3M FC-3284"`.
     pub name: String,
@@ -145,7 +144,7 @@ pub struct FluidSpec {
 }
 
 /// How a platform is cooled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoolingSpec {
     /// Forced air: reference temperature is `inlet_c + case_rise_c`.
     Air {
@@ -167,7 +166,7 @@ pub enum CoolingSpec {
 /// One calibrated Table III platform: a SKU under a cooling setup with
 /// its fitted junction-to-reference thermal resistance and the measured
 /// operating point the fit anchors to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Row label, e.g. `"Skylake 8168 / Air"`.
     pub label: String,
@@ -184,7 +183,7 @@ pub struct PlatformSpec {
 }
 
 /// One tank prototype.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TankSpec {
     /// Prototype name.
     pub name: String,
@@ -200,7 +199,7 @@ pub struct TankSpec {
 
 /// Power calibration: the measured Skylake V/f anchor points and the
 /// leakage model of Section 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerCalibration {
     /// V/f anchor points.
     pub vf: VfAnchors,
@@ -210,7 +209,7 @@ pub struct PowerCalibration {
 
 /// The two measured V/f anchor points: nominal, and the overclocked
 /// point at `nominal × oc_frequency_ratio`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VfAnchors {
     /// Nominal (all-core turbo) frequency, GHz.
     pub nominal_ghz: f64,
@@ -227,7 +226,7 @@ pub struct VfAnchors {
 /// `k_w` is pre-fitted (for the paper, from the measured 11 W saving
 /// between 92 °C and 68 °C at 0.90 V) so the model is fully determined
 /// by the two numbers stored here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeakageSpec {
     /// Temperature sensitivity β, 1/°C.
     pub beta_per_c: f64,
@@ -237,7 +236,7 @@ pub struct LeakageSpec {
 
 /// Reliability calibration: the three failure-mechanism fits and the
 /// Table V operating points they were fitted against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityCalibration {
     /// Gate-oxide breakdown fit.
     pub gate_oxide: GateOxideSpec,
@@ -251,7 +250,7 @@ pub struct ReliabilityCalibration {
 }
 
 /// Gate-oxide breakdown: `rate = exp(ln_a) · exp(γV) · exp(−Ea/kT)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GateOxideSpec {
     /// Natural log of the pre-exponential constant.
     pub ln_a: f64,
@@ -262,7 +261,7 @@ pub struct GateOxideSpec {
 }
 
 /// Electromigration: `rate = exp(ln_a) · exp(−Ea/kT)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElectromigrationSpec {
     /// Natural log of the pre-exponential constant.
     pub ln_a: f64,
@@ -271,7 +270,7 @@ pub struct ElectromigrationSpec {
 }
 
 /// Thermal cycling: `rate = exp(ln_b) · ΔT_j^q`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalCyclingSpec {
     /// Natural log of the Coffin–Manson coefficient.
     pub ln_b: f64,
@@ -280,7 +279,7 @@ pub struct ThermalCyclingSpec {
 }
 
 /// One Table V operating point with the paper's projected lifetime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimePointSpec {
     /// Cooling label, e.g. `"Air cooling"` or `"FC-3284"`.
     pub cooling: String,
@@ -298,7 +297,7 @@ pub struct LifetimePointSpec {
 
 /// Workload calibration: the Table IX applications and the Table
 /// VII/VIII CPU and GPU configurations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadCalibration {
     /// Applications (Table IX, in table order).
     pub apps: Vec<AppSpec>,
@@ -318,7 +317,7 @@ pub const METRICS: [&str; 5] = [
 ];
 
 /// One Table IX application profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Application name.
     pub name: String,
@@ -345,7 +344,7 @@ pub struct AppSpec {
 }
 
 /// One Table VII CPU configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuConfigSpec {
     /// Row label, e.g. `"OC3"`.
     pub name: String,
@@ -362,7 +361,7 @@ pub struct CpuConfigSpec {
 }
 
 /// One Table VIII GPU configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfigSpec {
     /// Row label, e.g. `"OCG2"`.
     pub name: String,
@@ -392,7 +391,7 @@ pub struct GpuConfigSpec {
 /// distorting their relative (V, T_j) sensitivity. Control-plane
 /// faults (stale telemetry, sensor dropout, stalled controllers) fire
 /// at fixed scheduled windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Chaos RNG seed. Per-server draw streams are counter-split from
     /// this seed, disjoint from the workload streams, so fault timing
@@ -421,7 +420,7 @@ pub struct FaultConfig {
 }
 
 /// A half-open `[from_s, until_s)` fault window, seconds of sim time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// Window start, seconds.
     pub from_s: f64,
@@ -430,7 +429,7 @@ pub struct FaultWindow {
 }
 
 /// One VM telemetry sensor going dark for a window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorDropout {
     /// The VM whose row is hidden.
     pub vm: u64,
@@ -439,7 +438,7 @@ pub struct SensorDropout {
 }
 
 /// One controller stalled (making no decisions) for a window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StalledWindow {
     /// The stalled controller's `Controller::name`.
     pub controller: String,

@@ -1,9 +1,9 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Engine<S>`] holds a deterministic two-tier calendar queue (see
-//! [`crate::calendar`]) of timestamped events over a user-supplied state
-//! type `S`. Handlers are `FnOnce(&mut S, &mut Engine<S>)` closures stored
-//! *inline* in the queue node when their captures fit in
+//! [`Engine<S>`] holds a deterministic two-tier calendar queue (the
+//! private `calendar` module) of timestamped events over a user-supplied
+//! state type `S`. Handlers are `FnOnce(&mut S, &mut Engine<S>)` closures
+//! stored *inline* in the queue node when their captures fit in
 //! [`crate::event::INLINE_EVENT_WORDS`] machine words — the common path
 //! (reschedule ticks, arrivals, control steps) touches the heap zero
 //! times per event; larger captures fall back to a recycled heap cell.
@@ -72,7 +72,7 @@ impl<S: 'static> Engine<S> {
     }
 
     /// Attaches an observer that receives one
-    /// [`EventRecord`](crate::observe::EventRecord) per executed event.
+    /// [`EventRecord`] per executed event.
     /// Replaces any previous observer. Observation never changes
     /// simulation behavior — only with an observer attached does the
     /// engine pay for wall-clock timing.
@@ -178,7 +178,7 @@ impl<S: 'static> Engine<S> {
     /// last event). Returns the number of events executed by this call.
     ///
     /// The deadline check and the dequeue are a single queue operation
-    /// per event ([`CalendarQueue::pop_at_most`]) — there is no separate
+    /// per event (`CalendarQueue::pop_at_most`) — there is no separate
     /// peek-then-pop.
     pub fn run_until(&mut self, state: &mut S, deadline: SimTime) -> u64 {
         let mut executed = 0;

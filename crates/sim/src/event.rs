@@ -5,16 +5,16 @@
 //! scheduled event. The overwhelming majority of handlers in this
 //! workspace capture at most three machine words — reschedule ticks
 //! (zero-capture `fn` items), M/G/k arrivals, completion-slot indices,
-//! control-step markers — so [`EventCell`] stores such closures *inline*
+//! control-step markers — so `EventCell` stores such closures *inline*
 //! in the queue node and only falls back to a heap cell for large
 //! captures. The boxed fallback recycles its allocations through
-//! [`BoxPool`], so even large-capture workloads stop hitting the global
+//! `BoxPool`, so even large-capture workloads stop hitting the global
 //! allocator once the pool is warm.
 //!
 //! Safety model: an `EventCell` is a small `union`-style payload plus a
 //! per-closure-type vtable (`call`, `drop_in_place`) promoted to
 //! `'static`, keeping the cell at four machine words. The cell is
-//! consumed exactly once, either by [`EventCell::invoke`] (which reads
+//! consumed exactly once, either by `EventCell::invoke` (which reads
 //! the closure out and runs it) or by `Drop` (which drops the closure in
 //! place without running it — the `Engine::clear` path). The
 //! inline/boxed decision is made from `size_of`/`align_of` constants, so

@@ -7,8 +7,6 @@
 //! `growth`× wider than the last), matching how latency spreads over
 //! orders of magnitude.
 
-use serde::{Deserialize, Serialize};
-
 /// A constant-memory histogram with geometric bin edges.
 ///
 /// # Example
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let p95 = h.quantile(0.95);
 /// assert!((0.9..=1.3).contains(&p95), "p95 {p95}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     first_edge: f64,
     growth: f64,

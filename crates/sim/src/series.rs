@@ -7,7 +7,6 @@
 //! plots.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// An append-only series of timestamped values.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.value_at(SimTime::from_secs(40)), Some(55.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(SimTime, f64)>,

@@ -9,7 +9,6 @@
 //! 3-minute trailing averages the auto-scaler's control loop uses.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A sample collector with exact percentile queries.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.percentile(0.95), 95.0);
 /// assert_eq!(t.mean(), 50.5);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Tally {
     samples: Vec<f64>,
     /// `samples[..sorted_len]` is sorted ascending; everything after is
@@ -216,7 +215,7 @@ impl FromIterator<f64> for Tally {
 /// assert_eq!(w.mean(), 4.0);
 /// assert_eq!(w.population_variance(), 8.0 / 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -312,7 +311,7 @@ impl Welford {
 /// tw.set(SimTime::from_secs(10), 200.0); // 100 W for 10 s
 /// assert_eq!(tw.average(SimTime::from_secs(20)), 150.0); // then 200 W for 10 s
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWeighted {
     last_time: SimTime,
     last_value: f64,
@@ -367,7 +366,7 @@ impl TimeWeighted {
 /// A trailing time-window average of timestamped samples — the primitive
 /// behind the auto-scaler's "average CPU utilization over the last 30 s /
 /// 3 min" signals (paper Section VI-D).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SlidingWindow {
     window: SimDuration,
     samples: std::collections::VecDeque<(SimTime, f64)>,

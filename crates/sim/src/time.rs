@@ -6,7 +6,6 @@
 //! replays to compare the baseline, OC-E, and OC-A policies on identical
 //! arrival sequences.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -21,9 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::from_secs(3) + SimDuration::from_millis(500);
 /// assert_eq!(t.as_secs_f64(), 3.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span between two [`SimTime`] instants, in nanoseconds.
@@ -36,9 +33,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_secs(60) * 3;
 /// assert_eq!(d.as_secs_f64(), 180.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;

@@ -30,13 +30,10 @@
 //! assert!((vcore - 0.87).abs() < 0.01); // −13 % per virtual core
 //! ```
 
-pub mod sensitivity;
-
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The datacenter designs Table VI compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoolingScenario {
     /// Direct-evaporative air-cooled hyperscale datacenter (baseline).
     AirBaseline,
@@ -58,7 +55,7 @@ impl CoolingScenario {
 }
 
 /// The Table VI cost rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostComponent {
     /// Server hardware.
     Servers,
@@ -112,7 +109,7 @@ impl fmt::Display for CostComponent {
 
 /// The TCO model: per-component deltas (percent of baseline total) for
 /// each scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcoModel {
     non_oc_deltas: [f64; 7],
     oc_deltas: [f64; 7],
@@ -220,7 +217,7 @@ impl Default for TcoModel {
 /// An absolute-cost wrapper: anchors the relative model to a baseline
 /// cost per physical core (e.g. USD per core-month) for examples and
 /// what-if analyses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbsoluteTco {
     baseline_usd_per_core_month: f64,
 }

@@ -6,8 +6,6 @@
 //! it with (busy time, frequency, stall fraction) and consumers take
 //! [`CounterSample`] snapshots and compute [`CounterDelta`]s.
 
-use serde::{Deserialize, Serialize};
-
 /// Free-running activity counters for one core.
 ///
 /// # Example
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((delta.productivity() - 0.75).abs() < 1e-12);
 /// assert!((delta.utilization() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CoreCounters {
     aperf: f64,
     pperf: f64,
@@ -70,7 +68,7 @@ impl CoreCounters {
 }
 
 /// A point-in-time counter snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CounterSample {
     aperf: f64,
     pperf: f64,
@@ -100,7 +98,7 @@ impl CounterSample {
 
 /// The change in counters over a sampling interval — the auto-scaler's
 /// raw telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterDelta {
     d_aperf: f64,
     d_pperf: f64,

@@ -6,7 +6,6 @@
 //! large tank, and 3M HFE-7000 (Novec 7000) in small tank #1.
 
 use ic_scenario::{FluidSpec, ThermalCalibration};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dielectric fluid engineered for immersion cooling.
@@ -21,7 +20,7 @@ use std::fmt;
 /// // Boiling off 1 kg of FC-3284 absorbs 105 kJ.
 /// assert_eq!(fc.heat_absorbed_kj(1.0), 105.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DielectricFluid {
     name: String,
     boiling_point_c: f64,
@@ -29,7 +28,7 @@ pub struct DielectricFluid {
     latent_heat_j_per_g: f64,
     useful_life_years: f64,
     /// Global-warming potential class; both paper fluids are high-GWP,
-    /// which motivates the vapor management in [`crate::environment`].
+    /// which is why tanks must manage vapor loss.
     high_gwp: bool,
 }
 
@@ -169,7 +168,7 @@ impl fmt::Display for DielectricFluid {
 /// Boiling-enhancing coating (BEC), required for surfaces with heat flux
 /// above 10 W/cm² (Section II). The paper uses 3M L-20227, which improves
 /// boiling performance 2× over uncoated smooth surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoilingCoating {
     /// No coating: smooth surface.
     None,

@@ -17,7 +17,6 @@
 
 use crate::fluid::{BoilingCoating, DielectricFluid};
 use ic_scenario::{CoolingSpec, PlatformSpec, ThermalCalibration};
-use serde::{Deserialize, Serialize};
 
 /// A calibrated junction-to-coolant thermal interface.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let air = ThermalInterface::air(35.0, 12.0, 0.22);
 /// assert!((air.junction_temp_c(204.4) - 92.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalInterface {
     reference_temp_c: f64,
     resistance_c_per_w: f64,
@@ -39,7 +38,7 @@ pub struct ThermalInterface {
 }
 
 /// What the junction ultimately rejects heat into.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoolingMedium {
     /// Forced air: reference is inlet temperature plus a case rise.
     Air,

@@ -12,7 +12,6 @@
 use crate::fluid::DielectricFluid;
 use crate::junction::ThermalInterface;
 use ic_scenario::{TankSpec, ThermalCalibration};
-use serde::{Deserialize, Serialize};
 
 /// A 2PIC tank hosting a fixed set of server slots.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// // 36 servers × 658 W (immersed: no fans) is within condenser capacity.
 /// assert!(tank.can_dissipate(36.0 * 658.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TankPrototype {
     name: String,
     fluid: DielectricFluid,

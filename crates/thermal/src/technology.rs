@@ -5,7 +5,6 @@
 //! power spent on fans, and the maximum per-server heat removal.
 
 use crate::fluid::DielectricFluid;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A datacenter cooling technology with its published efficiency envelope.
@@ -22,7 +21,7 @@ use std::fmt;
 /// let saved = evap.peak_pue_reduction_to(&tpic);
 /// assert!((saved - 0.1417).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoolingTechnology {
     kind: CoolingKind,
     avg_pue: f64,
@@ -32,7 +31,7 @@ pub struct CoolingTechnology {
 }
 
 /// The family a [`CoolingTechnology`] belongs to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoolingKind {
     /// Chiller-based closed-loop air cooling.
     Chiller,

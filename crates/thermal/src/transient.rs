@@ -12,10 +12,9 @@
 //! shows the swing difference directly.
 
 use crate::fluid::DielectricFluid;
-use serde::{Deserialize, Serialize};
 
 /// A first-order thermal node: `C·dT/dt = P − (T − T_ref)/R`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalNode {
     /// Thermal resistance junction→reference, °C/W.
     resistance_c_per_w: f64,

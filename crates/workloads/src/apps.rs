@@ -8,11 +8,10 @@
 //! bars reproduce — see `perfmodel` for the resulting numbers.
 
 use ic_scenario::{AppSpec, WorkloadCalibration};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The metric of interest for an application (Table IX's last column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// 95th-percentile latency; lower is better.
     P95Latency,
@@ -63,7 +62,7 @@ impl fmt::Display for Metric {
 }
 
 /// Where the application comes from (Table IX's "(I)"/"(P)" tags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Origin {
     /// Microsoft-internal workload.
     InHouse,
@@ -73,7 +72,7 @@ pub enum Origin {
 
 /// How an application's execution time decomposes across frequency
 /// domains. Shares must sum to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bottleneck {
     /// Share scaling with the core clock.
     pub core: f64,
@@ -120,7 +119,7 @@ impl Bottleneck {
 }
 
 /// One Table IX application.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     name: &'static str,
     cores: u32,

@@ -8,7 +8,6 @@
 
 use ic_power::units::{Frequency, Voltage};
 use ic_scenario::{CpuConfigSpec, WorkloadCalibration};
-use serde::Serialize;
 use std::fmt;
 
 /// One Table VII row: the frequency of each overclockable component.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert!((oc3.core_ratio_to(&b2) - 4.1 / 3.4).abs() < 1e-9);
 /// assert!((oc3.memory_ratio_to(&b2) - 3.0 / 2.4).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CpuConfig {
     name: &'static str,
     core: Frequency,

@@ -10,7 +10,6 @@
 
 use ic_power::units::Frequency;
 use ic_scenario::{GpuConfigSpec, WorkloadCalibration};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One Table VIII row: a GPU operating configuration.
@@ -26,7 +25,7 @@ use std::fmt;
 /// assert_eq!(ocg3.power_limit_w(), 300.0);
 /// assert!(ocg3.memory().ghz() > base.memory().ghz());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GpuConfig {
     name: &'static str,
     power_limit_w_tenths: u32,
@@ -134,7 +133,7 @@ impl fmt::Display for GpuConfig {
 
 /// A VGG variant's sensitivity to GPU clocks: compute share scales with
 /// the sustained core clock, memory share with the GDDR clock.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VggModel {
     name: &'static str,
     compute_share: f64,
@@ -215,7 +214,7 @@ impl VggModel {
 /// GPU board power under a configuration: the paper measured P99 board
 /// power of 193 W at Base rising to 231 W at OCG3 (+19 %), i.e. roughly
 /// 77 % of the configured power limit at P99.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuPowerModel {
     p99_fraction_of_limit: f64,
     avg_fraction_of_p99: f64,
@@ -242,7 +241,7 @@ impl GpuPowerModel {
 }
 
 /// One Figure 11 data point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure11Point {
     /// VGG variant name.
     pub model: &'static str,

@@ -8,12 +8,11 @@
 //! compose into QPS schedules for the client-server simulation.
 
 use ic_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A smooth day/night load curve:
 /// `base + amplitude · (1 + sin(2π(t − phase)/period)) / 2`, plus
 /// optional multiplicative noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalLoad {
     base_qps: f64,
     amplitude_qps: f64,
@@ -119,7 +118,7 @@ impl DiurnalLoad {
 
 /// Sudden load surges on top of a baseline: each spike multiplies the
 /// load by `factor` for `duration_s`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeTrain {
     spikes: Vec<(f64, f64, f64)>, // (start_s, duration_s, factor)
 }

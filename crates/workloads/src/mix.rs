@@ -26,7 +26,6 @@
 use crate::apps::AppProfile;
 use crate::configs::CpuConfig;
 use crate::perfmodel::time_ratio;
-use serde::Serialize;
 
 /// Tail-amplification exponent for latency-sensitive apps under CPU
 /// contention.
@@ -47,7 +46,7 @@ fn cpu_demand_b2(app: &AppProfile) -> f64 {
 }
 
 /// One VM entry in an oversubscription scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmEntry {
     /// The application running in the VM.
     pub app: AppProfile,
@@ -56,7 +55,7 @@ pub struct VmEntry {
 }
 
 /// A Table X oversubscription scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     name: &'static str,
     entries: Vec<VmEntry>,
@@ -232,7 +231,7 @@ impl Scenario {
 }
 
 /// The outcome for one application in one scenario/configuration.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Scenario label.
     pub scenario: &'static str,

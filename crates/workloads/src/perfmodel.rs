@@ -18,7 +18,6 @@
 use crate::apps::AppProfile;
 use crate::configs::CpuConfig;
 use ic_power::units::Voltage;
-use serde::{Deserialize, Serialize};
 
 /// The relative execution-time of running `app` under `cfg`, against
 /// reference configuration `reference`. Values below 1 are speedups.
@@ -61,7 +60,7 @@ pub fn improvement_pct(app: &AppProfile, cfg: &CpuConfig, reference: &CpuConfig)
 /// assert!((m.avg_power_w(&CpuConfig::b2(), 12) - 120.0).abs() < 2.0);
 /// assert!((m.avg_power_w(&CpuConfig::b2(), 16) - 130.0).abs() < 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerPowerModel {
     /// Frequency-independent platform power (storage, board, NIC), W.
     rest_w: f64,
@@ -117,7 +116,7 @@ impl ServerPowerModel {
 
 /// One bar group of Figure 9: an application's normalized metric and
 /// power under a configuration.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure9Point {
     /// Application name.
     pub app: &'static str,

@@ -7,8 +7,6 @@
 //! quantiles use the standard exponential conditional-wait approximation
 //! plus a lognormal service quantile.
 
-use serde::{Deserialize, Serialize};
-
 /// The Erlang-C probability that an arriving job waits, for `k` servers
 /// at offered load `a = λ/μ` (in Erlangs).
 ///
@@ -42,7 +40,7 @@ pub fn erlang_c(k: u32, a: f64) -> f64 {
 
 /// An M/G/k queue: Poisson arrivals at `lambda`, `k` servers, service
 /// with mean `service_mean` and squared coefficient of variation `scv`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MgkQueue {
     k: u32,
     lambda: f64,

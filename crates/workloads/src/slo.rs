@@ -9,10 +9,9 @@
 //! answers is the capacity the provider reclaims.
 
 use crate::queueing::MgkQueue;
-use serde::{Deserialize, Serialize};
 
 /// A tail-latency service-level objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySlo {
     /// The quantile the target applies to (e.g. 0.95).
     pub quantile: f64,

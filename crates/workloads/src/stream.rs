@@ -15,10 +15,9 @@
 
 use crate::configs::CpuConfig;
 use crate::perfmodel::ServerPowerModel;
-use serde::{Deserialize, Serialize};
 
 /// The four STREAM kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKernel {
     /// `c[i] = a[i]`
     Copy,
@@ -65,7 +64,7 @@ impl StreamKernel {
 }
 
 /// The calibrated STREAM bandwidth model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamModel {
     /// Memory-bound blend share α.
     alpha: f64,
@@ -99,7 +98,7 @@ impl StreamModel {
 }
 
 /// One Figure 10 data point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure10Point {
     /// Configuration name (B1–B4, OC1–OC3).
     pub config: &'static str,

@@ -154,6 +154,6 @@ fn main() {
     );
     println!(
         "\nThe same wiring runs as a recorded experiment: \
-         `cargo run --release -p ic-bench --bin composed_controlplane`."
+         `cargo run --release -p ic-bench --bin run_all -- --only composed`."
     );
 }

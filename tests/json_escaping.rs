@@ -1,6 +1,7 @@
 //! Cross-crate JSON contract: every string `ic-obs`'s hand-rolled
 //! writer emits must round-trip through `ic-scenario`'s hand-rolled
-//! parser. The two codecs are written independently (the writer is
+//! parser, and both crates' string escapers must emit the same bytes.
+//! The two codecs are written independently (the writer is
 //! allocation-averse, the parser is diagnostic-happy), so this is the
 //! place where their corner cases — C0 controls, DEL, astral-plane
 //! unicode — are forced to agree.
@@ -37,6 +38,26 @@ fn bmp_and_astral_plane_unicode_round_trips() {
         "mixed \t tab \u{7f} del 🦀 crab \"quoted\" back\\slash",
     ] {
         assert_eq!(roundtrip(s), s);
+    }
+}
+
+#[test]
+fn both_escapers_emit_identical_bytes() {
+    let controls = (0u32..0x20).chain([0x7f]).map(|code| {
+        let ch = char::from_u32(code).expect("valid control char");
+        format!("a{ch}b")
+    });
+    let astral = [
+        "🦀 ferris",
+        "math \u{1d4b3} italic",
+        "max \u{10FFFF} scalar",
+    ];
+    for s in controls.chain(astral.iter().map(|s| s.to_string())) {
+        let mut obs = String::new();
+        write_escaped(&s, &mut obs);
+        let mut scenario = String::new();
+        json::write_escaped(&mut scenario, &s);
+        assert_eq!(obs, scenario, "escapers disagree on {s:?}");
     }
 }
 
