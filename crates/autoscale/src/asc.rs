@@ -13,7 +13,7 @@
 //! entry point drives one observe/apply cycle directly against a
 //! [`ClientServerSim`] for standalone use.
 
-use crate::policy::{AscConfig, Policy, ScalingMetric};
+use crate::policy::{AscConfig, Policy};
 use ic_controlplane::fleet::{apply_to_sim, sim_complete_scale_out, sim_snapshot};
 use ic_controlplane::{Action, Controller, FreqTarget, Outcome, TelemetrySnapshot};
 use ic_obs::json::Value;
@@ -58,8 +58,6 @@ pub struct AutoScaler {
     pending_ready_at: Option<SimTime>,
     last_topology_change: Option<SimTime>,
     current_ratio: f64,
-    scale_outs: u32,
-    scale_ins: u32,
     last_step: Option<StepTrace>,
     sinks: ObsSinks,
 }
@@ -92,8 +90,6 @@ impl AutoScaler {
             pending_ready_at: None,
             last_topology_change: None,
             current_ratio: 1.0,
-            scale_outs: 0,
-            scale_ins: 0,
             last_step: None,
             sinks: ObsSinks::none(),
         }
@@ -109,31 +105,6 @@ impl AutoScaler {
     /// (`asc_step_util`).
     pub fn attach_sinks(&mut self, sinks: ObsSinks) {
         self.sinks = sinks;
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    /// The current frequency ratio.
-    pub fn current_ratio(&self) -> f64 {
-        self.current_ratio
-    }
-
-    /// Total scale-outs initiated.
-    pub fn scale_outs(&self) -> u32 {
-        self.scale_outs
-    }
-
-    /// Total scale-ins performed.
-    pub fn scale_ins(&self) -> u32 {
-        self.scale_ins
-    }
-
-    /// `true` while a VM creation is in flight.
-    pub fn scale_out_pending(&self) -> bool {
-        self.pending_ready_at.is_some()
     }
 
     /// The most recent decision step, if any (harnesses read this after
@@ -251,9 +222,7 @@ impl Controller for AutoScaler {
             if let Some(prev) = self.last_samples.get(&v.vm) {
                 let delta = v.sample.since(prev);
                 // Busy-core utilization in [0, 1] (busy core-seconds
-                // over vcores × wall), 0 for a zero-length interval —
-                // the same definition as
-                // `ClientServerSim::utilization_since`.
+                // over vcores × wall), 0 for a zero-length interval.
                 let wall = delta.d_wall_seconds();
                 if wall > 0.0 {
                     total_util +=
@@ -268,17 +237,7 @@ impl Controller for AutoScaler {
         let instant_util = if active.is_empty() {
             0.0
         } else {
-            match self.config.metric {
-                ScalingMetric::Utilization => total_util / active.len() as f64,
-                ScalingMetric::QueueLength => {
-                    // Queue depth per vcore, squashed into [0, 1) so the
-                    // 0–1 thresholds stay meaningful.
-                    let queued: usize = active.iter().map(|v| v.queue_depth).sum();
-                    let vcores: u32 = active.iter().map(|v| v.vcores).sum();
-                    let q = queued as f64 / vcores.max(1) as f64;
-                    q / (q + 1.0)
-                }
-            }
+            total_util / active.len() as f64
         };
         let productivity = if d_aperf > 0.0 {
             (d_pperf / d_aperf).clamp(0.0, 1.0)
@@ -311,7 +270,6 @@ impl Controller for AutoScaler {
             if out_signal > self.config.scale_out_threshold && active.len() < self.config.max_vms {
                 self.pending_ready_at =
                     Some(now + SimDuration::from_secs_f64(self.config.scale_out_latency_s));
-                self.scale_outs += 1;
                 scaled_out = true;
                 actions.push(self.scale_out_action());
                 self.sinks
@@ -330,7 +288,6 @@ impl Controller for AutoScaler {
                     let vm = v.vm;
                     actions.push(Action::ScaleIn { vm });
                     self.last_samples.remove(&vm);
-                    self.scale_ins += 1;
                     scaled_in = true;
                     self.last_topology_change = Some(now);
                     self.reset_windows();
@@ -505,7 +462,7 @@ mod tests {
         let mut sim = sim_with(1, 1000.0, 1);
         let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Baseline);
         let traces = drive(&mut asc, &mut sim, 300);
-        assert!(asc.scale_outs() >= 1);
+        assert!(traces.iter().any(|t| t.scaled_out));
         assert_eq!(traces.last().unwrap().active_vms, 2);
         // Baseline never overclocks.
         assert!(traces.iter().all(|t| t.freq_ratio == 1.0));
@@ -530,7 +487,7 @@ mod tests {
         let mut sim = sim_with(3, 100.0, 3); // util ~0.023 << 0.20
         let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Baseline);
         let traces = drive(&mut asc, &mut sim, 600);
-        assert!(asc.scale_ins() >= 2);
+        assert!(traces.iter().filter(|t| t.scaled_in).count() >= 2);
         assert_eq!(traces.last().unwrap().active_vms, 1);
     }
 
@@ -564,7 +521,10 @@ mod tests {
         let mut sim = sim_with(1, 800.0, 6);
         let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
         let traces = drive(&mut asc, &mut sim, 600);
-        assert_eq!(asc.scale_outs(), 0, "OC-A should avoid scaling out");
+        assert!(
+            !traces.iter().any(|t| t.scaled_out),
+            "OC-A should avoid scaling out"
+        );
         assert_eq!(traces.last().unwrap().active_vms, 1);
         assert!(traces.last().unwrap().freq_ratio > 1.1);
         // And the achieved utilization sits near/below the out threshold.
@@ -576,10 +536,10 @@ mod tests {
         let mut sim = sim_with(1, 800.0, 7);
         let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
         drive(&mut asc, &mut sim, 300);
-        assert!(asc.current_ratio() > 1.1);
+        assert!(asc.current_ratio > 1.1);
         sim.set_qps(100.0); // util collapses
         drive(&mut asc, &mut sim, 300);
-        assert_eq!(asc.current_ratio(), 1.0);
+        assert_eq!(asc.current_ratio, 1.0);
     }
 
     #[test]
@@ -589,7 +549,7 @@ mod tests {
         let mut sim = sim_with(1, 1600.0, 8);
         let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
         let traces = drive(&mut asc, &mut sim, 400);
-        assert!(asc.scale_outs() >= 1);
+        assert!(traces.iter().any(|t| t.scaled_out));
         assert!(traces.last().unwrap().active_vms >= 2);
     }
 
@@ -629,43 +589,12 @@ mod tests {
     }
 
     #[test]
-    fn queue_length_metric_scales_out_under_backlog() {
-        use crate::policy::ScalingMetric;
-        // Saturating load builds queues; the queue metric must trigger a
-        // scale-out even though we never read CPU utilization.
-        let mut cfg = AscConfig::paper();
-        cfg.metric = ScalingMetric::QueueLength;
-        let mut sim = sim_with(1, 1600.0, 33); // offered load > 1 VM's capacity
-        let mut asc = AutoScaler::new(cfg, Policy::Baseline);
-        let traces = drive(&mut asc, &mut sim, 400);
-        assert!(asc.scale_outs() >= 1, "queue metric should fire");
-        // Queue-length control is bang-bang: once the new VM drains the
-        // backlog the signal collapses and the controller may scale back
-        // in — assert the peak, not the endpoint.
-        let peak = traces.iter().map(|t| t.active_vms).max().unwrap();
-        assert!(peak >= 2, "peak VMs {peak}");
-    }
-
-    #[test]
-    fn queue_length_metric_stays_quiet_when_uncongested() {
-        use crate::policy::ScalingMetric;
-        let mut cfg = AscConfig::paper();
-        cfg.metric = ScalingMetric::QueueLength;
-        // Utilization 0.56 would trip the 0.50 utilization threshold,
-        // but with 4 cores the queue stays near-empty at this load.
-        let mut sim = sim_with(1, 800.0, 34);
-        let mut asc = AutoScaler::new(cfg, Policy::Baseline);
-        drive(&mut asc, &mut sim, 400);
-        assert_eq!(asc.scale_outs(), 0, "no backlog, no scale-out");
-    }
-
-    #[test]
     fn predictive_never_overclocks() {
         let mut sim = sim_with(1, 1000.0, 22);
         let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Predictive);
         let traces = drive(&mut asc, &mut sim, 300);
         assert!(traces.iter().all(|t| t.freq_ratio == 1.0));
-        assert!(asc.scale_outs() >= 1);
+        assert!(traces.iter().any(|t| t.scaled_out));
     }
 
     #[test]
@@ -684,7 +613,7 @@ mod tests {
         drive(&mut asc, &mut sim, 400);
         for vm in sim.active_vms() {
             assert!(
-                (sim.freq_ratio(vm) - asc.current_ratio()).abs() < 1e-9,
+                (sim.freq_ratio(vm) - asc.current_ratio).abs() < 1e-9,
                 "vm {vm} ratio"
             );
         }

@@ -33,20 +33,6 @@ impl Policy {
     }
 }
 
-/// Which telemetry signal drives the scaling thresholds. "Although CPU
-/// utilization is the most common metric for auto-scaling, some users
-/// specify others like memory utilization, thread count, or queue
-/// length" (paper Section V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScalingMetric {
-    /// Average CPU utilization of the server VMs (the paper's default).
-    #[default]
-    Utilization,
-    /// Mean queued-requests-per-vcore, squashed through `q/(q+1)` so the
-    /// same 0–1 thresholds apply (0 queue → 0, deep queue → 1).
-    QueueLength,
-}
-
 /// The control-loop parameters (paper Section VI-D experimental setup).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AscConfig {
@@ -80,8 +66,6 @@ pub struct AscConfig {
     pub max_vms: usize,
     /// The selectable frequency ratios (relative to B2), ascending.
     pub freq_ratios: Vec<f64>,
-    /// The signal driving the scale-out/in thresholds.
-    pub metric: ScalingMetric,
 }
 
 impl AscConfig {
@@ -105,7 +89,6 @@ impl AscConfig {
             min_vms: 1,
             max_vms: 10,
             freq_ratios,
-            metric: ScalingMetric::Utilization,
         }
     }
 

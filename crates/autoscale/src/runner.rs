@@ -460,28 +460,6 @@ pub fn run_batch(
         .collect()
 }
 
-/// Sweeps one policy across a grid of auto-scaler configurations on a
-/// shared seed — the ASC sensitivity sweep — in parallel, results in
-/// input order.
-pub fn sweep_asc_configs(
-    base: &RunnerConfig,
-    policy: Policy,
-    seed: u64,
-    configs: Vec<AscConfig>,
-) -> Vec<RunResult> {
-    run_batch(
-        configs
-            .into_iter()
-            .map(|asc| {
-                let mut cfg = base.clone();
-                cfg.asc = asc;
-                (cfg, policy, seed)
-            })
-            .collect(),
-        None,
-    )
-}
-
 /// Runs all three Table XI policies on the same seed (in parallel, via
 /// [`run_batch`], recording onto `flight` when given) and returns
 /// `(baseline, oc_e, oc_a)`.
@@ -649,24 +627,6 @@ mod tests {
         for workers in [2, 7] {
             assert_eq!(serial, export(workers), "workers={workers}");
         }
-    }
-
-    #[test]
-    fn asc_config_sweep_preserves_input_order() {
-        let base = quick_config();
-        let mut eager = AscConfig::paper();
-        eager.scale_out_threshold = 0.30;
-        eager.scale_up_threshold = 0.30;
-        let paper = AscConfig::paper();
-        let results = sweep_asc_configs(&base, Policy::Baseline, 5, vec![eager, paper]);
-        assert_eq!(results.len(), 2);
-        // The eager scale-out threshold provisions more aggressively.
-        assert!(
-            results[0].vm_hours > results[1].vm_hours,
-            "eager {} vs paper {}",
-            results[0].vm_hours,
-            results[1].vm_hours
-        );
     }
 
     #[test]

@@ -111,9 +111,11 @@ fn parse_args() -> Result<Args, String> {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     if args.list {
-        for exp in registry::registry() {
-            use ic_bench::registry::Experiment;
-            println!("{:<8} {}", exp.id(), exp.title());
+        use ic_bench::registry::Experiment;
+        let experiments = registry::registry();
+        let width = experiments.iter().map(|e| e.id().len()).max().unwrap_or(0);
+        for exp in experiments {
+            println!("{:<width$} {}", exp.id(), exp.title());
         }
         return Ok(());
     }

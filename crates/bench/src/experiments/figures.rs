@@ -543,13 +543,6 @@ fn fig15_run(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::runner
     runner.run()
 }
 
-/// The Figure 15 validation invariant, exposed for tests: at every
-/// frequency *increase* inside a constant-load phase, utilization must
-/// not rise afterwards.
-pub fn fig15_validates(quick: bool) -> bool {
-    fig15_invariant_holds(&fig15_run(quick, None))
-}
-
 fn fig15_invariant_holds(r: &ic_autoscale::runner::RunResult) -> bool {
     let pts = r.frequency_pct.points();
     for pair in pts.windows(2) {

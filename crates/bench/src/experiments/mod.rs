@@ -7,52 +7,18 @@ pub mod figures;
 pub mod fleet_scale;
 pub mod tables;
 
-use crate::registry::{render_selected, run_selected, Mode};
-use ic_scenario::Scenario;
-
-fn mode_for(quick: bool) -> Mode {
-    if quick {
-        Mode::Quick
-    } else {
-        Mode::Full
-    }
-}
-
-/// Runs every experiment in paper order and returns the combined report.
-/// `quick` shortens the simulation-backed experiments (Table XI,
-/// Figures 15/16) for fast runs; the full versions match the paper's
-/// schedules exactly. A thin wrapper over [`crate::registry`] with the
-/// paper scenario and a single worker.
-pub fn run_all(quick: bool) -> String {
-    render_selected(&Scenario::paper(), mode_for(quick), 1, None)
-        .expect("the unfiltered selection always resolves")
-}
-
-/// Runs every experiment in paper order, emitting one machine-readable
-/// JSONL record per experiment (see [`crate::report::ExperimentRecord`]).
-/// Analytic experiments report `sim_events: 0`; simulation-backed ones
-/// (Figures 15/16, Table XI) report their discrete-event counts.
-/// Experiments the paper reports numbers for carry paper-vs-measured
-/// metric pairs.
-pub fn run_all_json(quick: bool) -> String {
-    let records = run_selected(&Scenario::paper(), mode_for(quick), 1, None, None)
-        .expect("the unfiltered selection always resolves");
-    let mut out = String::new();
-    for record in records {
-        out.push_str(&record.to_json());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{run_selected, Mode};
+    use ic_scenario::Scenario;
 
     #[test]
     fn json_report_covers_every_experiment() {
-        let out = run_all_json(true);
-        let lines: Vec<&str> = out.lines().collect();
+        let records = run_selected(&Scenario::paper(), Mode::Quick, 1, None, None)
+            .expect("the unfiltered selection always resolves");
+        let out: Vec<String> = records.iter().map(|r| r.to_json()).collect();
+        let lines: Vec<&str> = out.iter().map(String::as_str).collect();
         assert_eq!(lines.len(), 27, "one record per experiment");
         for line in &lines {
             assert!(line.starts_with("{\"id\":\""), "{line}");

@@ -74,6 +74,17 @@ fn list_prints_every_registered_experiment() {
         .collect();
     let expected: Vec<&str> = registry().iter().map(|e| e.id()).collect();
     assert_eq!(listed, expected, "--list must mirror registration order");
+    // Every title starts in one column, past the longest id.
+    let title_columns: Vec<usize> = listing
+        .lines()
+        .zip(registry())
+        .map(|(line, exp)| line.find(exp.title()).expect("title on the id's line"))
+        .collect();
+    let longest = expected.iter().map(|id| id.len()).max().unwrap();
+    assert!(
+        title_columns.iter().all(|&c| c == longest + 1),
+        "titles must align one column past the longest id: {title_columns:?}"
+    );
 }
 
 #[test]

@@ -79,11 +79,6 @@ impl ChaosController {
         self.bursts
     }
 
-    /// The driven fault process.
-    pub fn process(&self) -> &FaultProcess {
-        &self.process
-    }
-
     /// The physical operating point at a frequency ratio: voltage off
     /// the sku's V/f curve plus the configured offset, junction
     /// temperature from the solved steady state, Tj swing floor at the

@@ -122,13 +122,6 @@ impl FaultProcess {
         self.servers.is_empty()
     }
 
-    /// Whether this process currently considers `server` failed (i.e. a
-    /// [`FaultEvent::Failure`] fired and no [`FaultProcess::repair`]
-    /// has landed since).
-    pub fn is_down(&self, server: usize) -> bool {
-        self.servers[server].down
-    }
-
     /// The failure hazard, 1/s, at `cond` under this process's scale.
     pub fn failure_rate_per_s(&self, cond: &OperatingConditions) -> f64 {
         self.config.hazard_scale * failure_rate_per_second(&self.model, cond)
@@ -343,11 +336,11 @@ mod tests {
             break;
         }
         assert!(failed);
-        assert!(p.is_down(0));
+        assert!(p.servers[0].down);
         // While down, no further events accrue no matter the window.
         assert!(p.advance(0, &oc3(), 1.21, 1e9).is_empty());
         p.repair(0);
-        assert!(!p.is_down(0));
+        assert!(!p.servers[0].down);
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl Cluster {
             .ok_or(ClusterError::UnknownServer)
     }
 
-    /// The active oversubscription setting.
-    pub fn oversubscription(&self) -> Oversubscription {
-        self.oversub
-    }
-
     /// Changes the oversubscription ratio for *future* placements.
     pub fn set_oversubscription(&mut self, oversub: Oversubscription) {
         self.oversub = oversub;

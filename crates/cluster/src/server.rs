@@ -23,17 +23,6 @@ impl ServerSpec {
         }
     }
 
-    /// The small-tank-#1 Xeon W-3175X host: 28 cores, 128 GB,
-    /// B2 = 3.4 GHz, OC1 = 4.1 GHz.
-    pub fn tank1_xeon() -> Self {
-        ServerSpec {
-            pcores: 28,
-            memory_gb: 128.0,
-            base_frequency: Frequency::from_ghz(3.4),
-            max_overclock: Frequency::from_ghz(4.1),
-        }
-    }
-
     /// A custom shape.
     ///
     /// # Panics
@@ -185,7 +174,12 @@ mod tests {
 
     #[test]
     fn frequency_clamped_to_spec() {
-        let mut srv = Server::new(ServerSpec::tank1_xeon());
+        let mut srv = Server::new(ServerSpec::custom(
+            28,
+            128.0,
+            Frequency::from_ghz(3.4),
+            Frequency::from_ghz(4.1),
+        ));
         srv.set_frequency(Frequency::from_ghz(9.0));
         assert_eq!(srv.frequency(), Frequency::from_ghz(4.1));
         srv.set_frequency(Frequency::from_ghz(1.0));
@@ -194,7 +188,12 @@ mod tests {
 
     #[test]
     fn overclock_ratio_tracks_frequency() {
-        let mut srv = Server::new(ServerSpec::tank1_xeon());
+        let mut srv = Server::new(ServerSpec::custom(
+            28,
+            128.0,
+            Frequency::from_ghz(3.4),
+            Frequency::from_ghz(4.1),
+        ));
         assert_eq!(srv.overclock_ratio(), 1.0);
         srv.set_frequency(Frequency::from_ghz(4.1));
         assert!((srv.overclock_ratio() - 4.1 / 3.4).abs() < 1e-9);

@@ -14,7 +14,7 @@ use crate::action::{Action, FreqTarget};
 use crate::controller::Controller;
 use crate::telemetry::{DomainPower, TelemetrySnapshot};
 use ic_core::governor::{GovernorDecision, OverclockGovernor};
-use ic_power::capping::{CapPlan, PowerAllocator, PowerRequest};
+use ic_power::capping::{PowerAllocator, PowerRequest};
 use ic_power::units::Frequency;
 use ic_sim::time::SimTime;
 use std::fmt;
@@ -58,11 +58,6 @@ impl GovernorController {
             last_decision: None,
             last_power_version: None,
         }
-    }
-
-    /// The wrapped governor.
-    pub fn governor(&self) -> &OverclockGovernor {
-        &self.governor
     }
 
     /// The most recent decision, if any tick has run.
@@ -129,7 +124,6 @@ impl Controller for GovernorController {
 /// materialised per domain.
 pub struct PowerCapController {
     allocator: PowerAllocator,
-    last_plan: Option<CapPlan>,
     /// See [`GovernorController::last_power_version`]: the allocation
     /// is a pure function of the power section, so an unchanged
     /// version short-circuits the whole scan.
@@ -141,7 +135,6 @@ impl PowerCapController {
     pub fn new(allocator: PowerAllocator) -> Self {
         PowerCapController {
             allocator,
-            last_plan: None,
             last_power_version: None,
         }
     }
@@ -149,11 +142,6 @@ impl PowerCapController {
     /// The enforced budget, watts.
     pub fn budget_w(&self) -> f64 {
         self.allocator.budget_w()
-    }
-
-    /// The most recent allocation plan, if any tick has planned.
-    pub fn last_plan(&self) -> Option<CapPlan> {
-        self.last_plan
     }
 }
 
@@ -184,7 +172,6 @@ impl Controller for PowerCapController {
             .allocator
             .try_plan(power.domains.iter().map(request))
             .unwrap_or_else(|e| panic!("{e}"));
-        self.last_plan = Some(plan);
         power
             .domains
             .iter()
@@ -240,11 +227,6 @@ impl ScriptController {
             return Err(ScriptError { index: pos + 1 });
         }
         Ok(ScriptController { script, next: 0 })
-    }
-
-    /// Entries not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.script.len() - self.next
     }
 }
 
@@ -364,7 +346,7 @@ mod tests {
         assert!(script.observe(&early).is_empty());
         let mid = TelemetrySnapshot::at(SimTime::from_secs(12));
         assert_eq!(script.observe(&mid), vec![Action::FailServer { server: 0 }]);
-        assert_eq!(script.remaining(), 1);
+        assert_eq!(script.next, 1);
         let late = TelemetrySnapshot::at(SimTime::from_secs(30));
         assert_eq!(
             script.observe(&late),
@@ -440,16 +422,6 @@ mod tests {
         // correct because an identical section yields the identical
         // allocation, whose actions the change suppression would drop.
         assert!(cap.observe(&snap).is_empty());
-        let rows = snap.power.as_ref().expect("power section").domains.iter();
-        assert_eq!(
-            cap.last_plan(),
-            Some(
-                PowerAllocator::new(300.0)
-                    .try_plan(rows.map(request))
-                    .unwrap()
-            ),
-            "last allocation is kept"
-        );
     }
 
     #[test]

@@ -247,36 +247,6 @@ impl FleetConfigBuilder {
         }
     }
 
-    /// Workload RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Mean per-request core demand, seconds.
-    pub fn service_mean_s(mut self, mean_s: f64) -> Self {
-        self.config.service_mean_s = mean_s;
-        self
-    }
-
-    /// Service-time squared coefficient of variation.
-    pub fn service_scv(mut self, scv: f64) -> Self {
-        self.config.service_scv = scv;
-        self
-    }
-
-    /// Virtual cores per server VM (workload sim side).
-    pub fn vcores_per_vm(mut self, vcores: u32) -> Self {
-        self.config.vcores_per_vm = vcores;
-        self
-    }
-
-    /// Counter stall fraction of the workload.
-    pub fn stall_fraction(mut self, fraction: f64) -> Self {
-        self.config.stall_fraction = fraction;
-        self
-    }
-
     /// Server VMs running (and placed) at t = 0.
     pub fn initial_vms(mut self, vms: usize) -> Self {
         self.config.initial_vms = vms;
@@ -292,18 +262,6 @@ impl FleetConfigBuilder {
     /// Physical servers in the cluster.
     pub fn servers(mut self, servers: usize) -> Self {
         self.config.servers = servers;
-        self
-    }
-
-    /// vcore oversubscription ratio (1.0 = none).
-    pub fn oversub(mut self, oversub: f64) -> Self {
-        self.config.oversub = oversub;
-        self
-    }
-
-    /// The placement shape of every serving VM.
-    pub fn vm_spec(mut self, spec: VmSpec) -> Self {
-        self.config.vm_spec = spec;
         self
     }
 
@@ -460,7 +418,6 @@ impl<'a> Iterator for GrantsIter<'a> {
 /// Runtime state of fault injection (the actuation side; the event
 /// *sources* — wear process, fault plan — live outside the world).
 struct FaultState {
-    config: FaultConfig,
     /// Authoritative copies of the fault-telemetry fields; the snapshot
     /// section mirrors these at actuation time and
     /// [`FleetWorld::recompute_snapshot`] rebuilds from them.
@@ -476,9 +433,8 @@ struct FaultState {
 }
 
 impl FaultState {
-    fn new(config: FaultConfig, servers: usize) -> Self {
+    fn new(servers: usize) -> Self {
         FaultState {
-            config,
             version: 0,
             fleet_ratio: 1.0,
             error_bursts: 0,
@@ -638,7 +594,8 @@ impl FleetWorld {
         });
         let faults = config
             .faults
-            .map(|fault_config| FaultState::new(fault_config, config.servers));
+            .is_some()
+            .then(|| FaultState::new(config.servers));
         snap.faults = faults.as_ref().map(FaultState::telemetry);
         FleetWorld {
             sim,
@@ -707,11 +664,6 @@ impl FleetWorld {
         self.power_model
             .as_ref()
             .map_or((0, 0), |m| (m.cache.hits(), m.cache.misses()))
-    }
-
-    /// The fault-injection configuration, if this world has one.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.faults.as_ref().map(|f| &f.config)
     }
 
     /// Accepted `FailServer` transitions (healthy → failed) so far,
@@ -1278,12 +1230,12 @@ mod tests {
     fn failover_parks_unplaced_vms_and_migrate_replaces_them() {
         // Two servers, VMs sized so each server holds exactly one: any
         // failure strands its VM.
-        let config = FleetConfigBuilder::small(5)
+        let mut config = FleetConfigBuilder::small(5)
             .servers(2)
-            .oversub(1.0)
             .initial_vms(2)
-            .vm_spec(VmSpec::new(48, 64.0))
             .build();
+        config.oversub = 1.0;
+        config.vm_spec = VmSpec::new(48, 64.0);
         let mut world = FleetWorld::new(config);
         let t = SimTime::from_secs(10);
 
@@ -1352,12 +1304,12 @@ mod tests {
 
     #[test]
     fn scale_out_completion_is_gated_by_cluster_capacity() {
-        let config = FleetConfigBuilder::small(9)
+        let mut config = FleetConfigBuilder::small(9)
             .servers(1)
-            .oversub(1.0)
             .initial_vms(1)
-            .vm_spec(VmSpec::new(48, 64.0))
             .build();
+        config.oversub = 1.0;
+        config.vm_spec = VmSpec::new(48, 64.0);
         let mut world = FleetWorld::new(config);
         let declined = world.complete_scale_out(SimTime::from_secs(1));
         assert_eq!(
@@ -1607,14 +1559,14 @@ mod tests {
         // compete for what repairs free up.
         const SERVERS: usize = 64;
         for seed in [2, 19, 71] {
-            let config = FleetConfigBuilder::small(seed)
+            let mut config = FleetConfigBuilder::small(seed)
                 .servers(SERVERS)
-                .oversub(1.0)
-                .vm_spec(VmSpec::new(24, 64.0))
                 .initial_vms(110)
                 .schedule(vec![(0.0, 2000.0)])
                 .faults(FaultConfig::disabled())
                 .build();
+            config.oversub = 1.0;
+            config.vm_spec = VmSpec::new(24, 64.0);
             let mut world = FleetWorld::new(config);
             let mut rng = ic_sim::rng::SimRng::seed_from_u64(seed);
             let mut t = SimTime::ZERO;
@@ -1792,7 +1744,10 @@ mod tests {
             .accepted());
         let during = world.telemetry(SimTime::from_secs(5));
         assert_eq!(during.vms.len(), 1);
-        assert!(during.vm(vm).is_none(), "dropped sensor is invisible");
+        assert!(
+            during.vms.iter().all(|v| v.vm != vm),
+            "dropped sensor is invisible"
+        );
         let after = world.telemetry(SimTime::from_secs(10));
         assert_eq!(after.vms.len(), 2, "sensor returns at expiry");
     }

@@ -44,23 +44,12 @@ impl FaultPlan {
         entries.sort_by_key(|&(at, _)| at);
         FaultPlan { entries }
     }
-
-    /// Entries in firing order.
-    pub fn entries(&self) -> &[(SimTime, Action)] {
-        &self.entries
-    }
-
-    /// Whether the plan schedules anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 struct Entry {
     controller: Box<dyn Controller>,
     cadence: SimDuration,
     last_tick: SimTime,
-    ticks: u64,
     scheduled: bool,
 }
 
@@ -126,7 +115,6 @@ impl<W: World + 'static> ControlPlane<W> {
             controller,
             cadence,
             last_tick: self.engine.now(),
-            ticks: 0,
             scheduled: false,
         });
         ControllerId(self.state.entries.len() - 1)
@@ -135,11 +123,6 @@ impl<W: World + 'static> ControlPlane<W> {
     /// The control-plane clock.
     pub fn now(&self) -> SimTime {
         self.engine.now()
-    }
-
-    /// The managed world.
-    pub fn world(&self) -> &W {
-        &self.state.world
     }
 
     /// The managed world, mutably (setup only — mutating mid-run from
@@ -172,11 +155,6 @@ impl<W: World + 'static> ControlPlane<W> {
             .controller
             .as_any_mut()
             .downcast_mut()
-    }
-
-    /// Ticks executed by the controller behind `id`.
-    pub fn ticks(&self, id: ControllerId) -> u64 {
-        self.state.entries.get(id.0).map_or(0, |e| e.ticks)
     }
 
     /// Ticks executed across all controllers.
@@ -298,7 +276,6 @@ impl<W: World + 'static> ControlPlane<W> {
         let CpState { world, entries, .. } = state;
         world.post_tick(now, entries[idx].controller.as_ref(), &report);
         state.entries[idx].last_tick = now;
-        state.entries[idx].ticks += 1;
         state.ticks_total += 1;
     }
 

@@ -116,15 +116,6 @@ impl TelemetrySnapshot {
             ..Default::default()
         }
     }
-
-    /// The telemetry row for `vm`, if it is active. `vms` is kept in
-    /// ascending VM-id order, so this is a binary search.
-    pub fn vm(&self, vm: u64) -> Option<&VmTelemetry> {
-        self.vms
-            .binary_search_by_key(&vm, |v| v.vm)
-            .ok()
-            .map(|i| &self.vms[i])
-    }
 }
 
 #[cfg(test)]
@@ -139,19 +130,5 @@ mod tests {
         assert!(snap.power.is_none());
         assert!(snap.cluster.is_none());
         assert!(snap.faults.is_none());
-        assert!(snap.vm(0).is_none());
-    }
-
-    #[test]
-    fn vm_lookup_finds_by_id() {
-        let mut snap = TelemetrySnapshot::at(SimTime::ZERO);
-        snap.vms.push(VmTelemetry {
-            vm: 7,
-            sample: CounterSample::default(),
-            queue_depth: 3,
-            vcores: 4,
-        });
-        assert_eq!(snap.vm(7).unwrap().queue_depth, 3);
-        assert!(snap.vm(8).is_none());
     }
 }

@@ -28,7 +28,8 @@
 //!
 //! let domains = OperatingDomains::skylake_2pic_hfe();
 //! let f = Frequency::from_ghz(4.0);
-//! assert!(domains.classify(f).is_overclocked());
+//! assert!(f > domains.turbo()); // overclocked, inside the green band
+//! assert!(f <= domains.green_top());
 //! ```
 
 pub mod bottleneck;
@@ -37,5 +38,5 @@ pub mod governor;
 pub mod usecases;
 
 pub use bottleneck::{BottleneckAnalysis, OverclockTarget};
-pub use domains::{Domain, OperatingDomains};
+pub use domains::OperatingDomains;
 pub use governor::{GovernorConfig, GovernorDecision, OverclockGovernor};

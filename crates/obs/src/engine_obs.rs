@@ -162,10 +162,7 @@ mod tests {
         }
         engine.run(&mut ());
         let m = metrics.borrow();
-        let total: u64 = m
-            .counters_with_prefix("engine_events_total{")
-            .map(|(_, v)| v)
-            .sum();
+        let total = m.counter("engine_events_total{even}") + m.counter("engine_events_total{odd}");
         assert_eq!(total, engine.events_processed());
     }
 

@@ -8,11 +8,12 @@
 //!
 //! Three kinds of record coexist:
 //!
-//! * **Stack spans** — opened and closed LIFO (usually via the
-//!   [`SpanGuard`] RAII API). Each closed span's *self time* is its
-//!   duration minus its stack children's durations; per-`(target, name)`
-//!   self-time feeds a constant-memory [`LogHistogram`] for the
-//!   [`summary`](FlightRecorder::summary) table.
+//! * **Stack spans** — opened and closed LIFO
+//!   ([`open_at`](FlightRecorder::open_at) /
+//!   [`close_at`](FlightRecorder::close_at)). Each closed span's *self
+//!   time* is its duration minus its stack children's durations;
+//!   per-`(target, name)` self-time feeds a constant-memory
+//!   [`LogHistogram`] for the [`summary`](FlightRecorder::summary) table.
 //! * **Phase spans** — per-event-kind engine activity. Drivers feed
 //!   [`phase_event`](FlightRecorder::phase_event) one call per executed
 //!   event (see `EngineSpans`) and
@@ -90,18 +91,10 @@ pub struct Span {
     /// [`absorb`](FlightRecorder::absorb) so the merged stream is
     /// totally ordered.
     pub seq: u64,
-    /// Display track (Chrome `tid`); see
-    /// [`FlightRecorder::track_names`].
+    /// Display track (Chrome `tid`), named in the exports' track list.
     pub track: u32,
     /// Structured payload, in emission order.
     pub fields: Vec<(&'static str, Value)>,
-}
-
-impl Span {
-    /// Span duration in seconds of simulation time.
-    pub fn duration_s(&self) -> f64 {
-        (self.end - self.start).as_secs_f64()
-    }
 }
 
 /// A still-open stack span.
@@ -163,7 +156,7 @@ impl KindStat {
 }
 
 /// A claim ticket for one open stack span, consumed by
-/// [`FlightRecorder::close`]/[`close_at`](FlightRecorder::close_at).
+/// [`FlightRecorder::close_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanToken(u64);
 
@@ -259,16 +252,6 @@ impl FlightRecorder {
         self.max_end
     }
 
-    /// Renames the recorder's own display track (track 0).
-    pub fn set_track_name(&mut self, name: &str) {
-        self.tracks[0] = name.to_string();
-    }
-
-    /// Track id → display name, in allocation order.
-    pub fn track_names(&self) -> &[String] {
-        &self.tracks
-    }
-
     fn push(&mut self, span: Span) {
         self.max_end = self.max_end.max(span.end);
         if self.spans.len() == self.capacity {
@@ -326,19 +309,6 @@ impl FlightRecorder {
             child_s: 0.0,
         });
         Some(SpanToken(token))
-    }
-
-    /// Appends a field to the innermost open span matching `token`
-    /// (results computed after open, recorded before close).
-    pub fn add_field(&mut self, token: SpanToken, key: &'static str, value: Value) {
-        if let Some(open) = self.open.iter_mut().rev().find(|o| o.token == token.0) {
-            open.fields.push((key, value));
-        }
-    }
-
-    /// Closes the top-of-stack span at the recorder's current time.
-    pub fn close(&mut self, token: SpanToken) {
-        self.close_at(token, self.now);
     }
 
     /// Closes the top-of-stack span at `end` (also advances the clock).
@@ -575,11 +545,6 @@ impl FlightRecorder {
         self.dropped
     }
 
-    /// Total records ever kept (retained + dropped).
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Exact record counts by `(target, name)`, unaffected by ring
     /// eviction.
     pub fn counts_by_kind(&self) -> BTreeMap<(&'static str, &'static str), u64> {
@@ -770,88 +735,6 @@ pub fn shared_flight_from_env(capacity: usize) -> FlightHandle {
     Rc::new(RefCell::new(FlightRecorder::from_env(capacity)))
 }
 
-/// An RAII guard over one stack span: open on construction, closed on
-/// drop at the recorder's then-current simulation time, or explicitly
-/// via [`close_at`](Self::close_at) with a known end time.
-///
-/// # Example
-///
-/// ```
-/// use ic_obs::flight::{shared_flight, SpanGuard};
-/// use ic_obs::trace::TraceLevel;
-/// use ic_sim::time::SimTime;
-///
-/// let flight = shared_flight(1024);
-/// {
-///     let span = SpanGuard::enter(&flight, "demo", "work", TraceLevel::Info, vec![]);
-///     flight.borrow_mut().set_now(SimTime::from_secs(5));
-///     span.close_at(SimTime::from_secs(5));
-/// }
-/// assert_eq!(flight.borrow().len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct SpanGuard {
-    flight: FlightHandle,
-    token: Option<SpanToken>,
-}
-
-impl SpanGuard {
-    /// Opens a span at the recorder's current time.
-    pub fn enter(
-        flight: &FlightHandle,
-        target: &'static str,
-        name: &'static str,
-        level: TraceLevel,
-        fields: Vec<(&'static str, Value)>,
-    ) -> Self {
-        let token = flight.borrow_mut().open(target, name, level, fields);
-        SpanGuard {
-            flight: flight.clone(),
-            token,
-        }
-    }
-
-    /// Opens a span at an explicit start time.
-    pub fn enter_at(
-        flight: &FlightHandle,
-        start: SimTime,
-        target: &'static str,
-        name: &'static str,
-        level: TraceLevel,
-        fields: Vec<(&'static str, Value)>,
-    ) -> Self {
-        let token = flight
-            .borrow_mut()
-            .open_at(start, target, name, level, fields);
-        SpanGuard {
-            flight: flight.clone(),
-            token,
-        }
-    }
-
-    /// Appends a field to the span (a result computed mid-span).
-    pub fn add_field(&self, key: &'static str, value: Value) {
-        if let Some(token) = self.token {
-            self.flight.borrow_mut().add_field(token, key, value);
-        }
-    }
-
-    /// Closes the span at an explicit end time.
-    pub fn close_at(mut self, end: SimTime) {
-        if let Some(token) = self.token.take() {
-            self.flight.borrow_mut().close_at(token, end);
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.flight.borrow_mut().close(token);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -890,7 +773,7 @@ mod tests {
         let mut rec = FlightRecorder::new(8);
         let a = rec.open("x", "a", TraceLevel::Info, vec![]).unwrap();
         let _b = rec.open("x", "b", TraceLevel::Info, vec![]).unwrap();
-        rec.close(a);
+        rec.close_at(a, rec.now());
     }
 
     #[test]
@@ -911,7 +794,7 @@ mod tests {
         assert!(rec.open("x", "noisy", TraceLevel::Debug, vec![]).is_none());
         rec.instant("x", "quiet", TraceLevel::Debug, vec![]);
         let tok = rec.open("x", "kept", TraceLevel::Info, vec![]).unwrap();
-        rec.close(tok);
+        rec.close_at(tok, rec.now());
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.spans().next().unwrap().seq, 0);
     }
@@ -929,12 +812,12 @@ mod tests {
         assert_eq!(spans[0].name, "arrival");
         assert_eq!(spans[0].fields, vec![("events", Value::U64(5))]);
         assert_ne!(spans[0].track, spans[1].track);
-        assert_eq!(rec.track_names()[spans[0].track as usize], "engine:arrival");
+        assert_eq!(rec.tracks[spans[0].track as usize], "engine:arrival");
         // A second window reuses the same tracks.
         rec.phase_event("engine", "arrival", t(9));
         rec.flush_phases();
         assert_eq!(rec.spans().last().unwrap().track, spans[0].track);
-        assert_eq!(rec.track_names().len(), 3);
+        assert_eq!(rec.tracks.len(), 3);
     }
 
     #[test]
@@ -951,10 +834,7 @@ mod tests {
         main.absorb(child, "task0");
         let seqs: Vec<u64> = main.spans().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(
-            main.track_names(),
-            &["main", "task0", "task0/engine:arrival"]
-        );
+        assert_eq!(main.tracks, ["main", "task0", "task0/engine:arrival"]);
         assert_eq!(main.max_end(), t(4));
         assert_eq!(main.counts_by_kind()[&("engine", "arrival")], 1);
     }
@@ -1034,31 +914,6 @@ mod tests {
         assert!(line.contains("\"start_ns\":1000000000"));
         assert!(line.contains("\"ph\":\"instant\""));
         assert!(line.contains("\"fields\":{\"k\":\"v\"}"));
-    }
-
-    #[test]
-    fn span_guard_closes_on_drop_at_recorder_now() {
-        let flight = shared_flight(16);
-        {
-            let _g = SpanGuard::enter(&flight, "g", "scope", TraceLevel::Info, vec![]);
-            flight.borrow_mut().set_now(t(7));
-        }
-        let rec = flight.borrow();
-        let span = rec.spans().next().unwrap();
-        assert_eq!((span.start, span.end), (SimTime::ZERO, t(7)));
-    }
-
-    #[test]
-    fn span_guard_add_field_lands_in_span() {
-        let flight = shared_flight(16);
-        let g = SpanGuard::enter(&flight, "g", "scope", TraceLevel::Info, vec![]);
-        g.add_field("result", Value::U64(42));
-        g.close_at(t(1));
-        let rec = flight.borrow();
-        assert_eq!(
-            rec.spans().next().unwrap().fields,
-            vec![("result", Value::U64(42))]
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   `IC_OBS_LEVEL` filter ([`trace::LEVEL_ENV`]) every recorder honors.
 //! * [`flight`] — the flight recorder, the crate's one event sink:
 //!   deterministic *hierarchical* spans and instants
-//!   ([`flight::FlightRecorder`] + the [`flight::SpanGuard`] RAII API)
+//!   ([`flight::FlightRecorder`])
 //!   keyed by simulation time plus a recorder sequence number (never
 //!   wall clock — two same-seed runs export byte-identical traces), with
 //!   per-event-kind engine phases, submission-order merging of parallel
@@ -77,8 +77,7 @@ pub mod trace;
 
 pub use engine_obs::{EngineMetrics, EngineSpans};
 pub use flight::{
-    shared_flight, shared_flight_from_env, FlightHandle, FlightRecorder, Span, SpanGuard, SpanKind,
-    SpanToken,
+    shared_flight, shared_flight_from_env, FlightHandle, FlightRecorder, Span, SpanKind, SpanToken,
 };
 pub use json::Value;
 pub use metrics::{shared_registry, MetricsHandle, MetricsRegistry};

@@ -100,17 +100,6 @@ impl MetricsRegistry {
         self.histograms.get(name).map_or(0.0, |h| h.quantile(q))
     }
 
-    /// Counters whose names start with `prefix`, in name order.
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Folds another registry into this one: counters add, gauges take
     /// the other's value (it is "newer"), histograms merge.
     ///
@@ -176,34 +165,6 @@ impl MetricsRegistry {
         }
         out.push_str("}}");
         out
-    }
-
-    /// A human-readable snapshot, one metric per line, in name order.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "counter {name} = {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "gauge   {name} = {v}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "hist    {name} = count {} mean {:.6} p50 {:.6} p95 {:.6} max {:.6}",
-                h.count(),
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.max()
-            );
-        }
-        out
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 
@@ -274,16 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan_is_ordered() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("ev_total{b}", 1);
-        m.counter_add("ev_total{a}", 2);
-        m.counter_add("other", 3);
-        let got: Vec<_> = m.counters_with_prefix("ev_total{").collect();
-        assert_eq!(got, vec![("ev_total{a}", 2), ("ev_total{b}", 1)]);
-    }
-
-    #[test]
     fn json_snapshot_is_deterministic() {
         let mut m = MetricsRegistry::new();
         m.counter_add("b", 1);
@@ -299,11 +250,9 @@ mod tests {
     #[test]
     fn empty_registry_renders() {
         let m = MetricsRegistry::new();
-        assert!(m.is_empty());
         assert_eq!(
             m.to_json(),
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
         );
-        assert_eq!(m.render_text(), "");
     }
 }

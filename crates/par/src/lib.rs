@@ -7,7 +7,8 @@
 //! front, workers pull tasks from work-stealing deques, and the results
 //! are reassembled in submission order. Because the decomposition is
 //! fixed before any worker starts and each task derives its randomness
-//! by counter-splitting [`SimRng`] (`SimRng::stream(seed, index)` — a
+//! by counter-splitting [`SimRng`](ic_sim::rng::SimRng)
+//! (`SimRng::stream(seed, index)` — a
 //! pure function of the task index), the gathered output is
 //! **byte-identical for any worker count**, including 1.
 //!
@@ -29,7 +30,6 @@
 //! ```
 
 use ic_obs::flight::{shared_flight_from_env, FlightRecorder};
-use ic_sim::rng::SimRng;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Mutex;
@@ -91,8 +91,8 @@ impl ParPool {
     /// other workers.
     ///
     /// Tasks needing randomness should derive it as
-    /// `SimRng::stream(seed, index)` (see [`task_rngs`]) so the stream
-    /// is a function of the task, not of the worker that ran it.
+    /// `SimRng::stream(seed, index)` so the stream is a function of the
+    /// task, not of the worker that ran it.
     pub fn scatter_gather<T, R, F>(&self, tasks: Vec<T>, run: F) -> Vec<R>
     where
         T: Send,
@@ -209,17 +209,10 @@ pub fn pool() -> ParPool {
     ParPool::from_env()
 }
 
-/// One counter-split RNG per task of an `n`-task decomposition:
-/// `task_rngs(seed, n)[i]` equals `SimRng::stream(seed, i)` and is
-/// independent of every sibling, so pre-dealing the generators (or
-/// deriving them lazily inside each task) gives identical streams.
-pub fn task_rngs(seed: u64, n: usize) -> Vec<SimRng> {
-    (0..n as u64).map(|i| SimRng::stream(seed, i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_sim::rng::SimRng;
 
     /// A deliberately skewed workload: task 0 spins far longer than the
     /// rest, so without stealing the first worker's chunk dominates.
@@ -269,12 +262,12 @@ mod tests {
 
     #[test]
     fn per_task_streams_are_independent_of_worker_count() {
-        let draw = |_i: usize, rng: SimRng| {
-            let mut rng = rng;
+        let draw = |i: usize, _: ()| {
+            let mut rng = SimRng::stream(7, i as u64);
             (0..8).map(|_| rng.next_u64()).collect::<Vec<_>>()
         };
-        let serial = ParPool::with_workers(1).scatter_gather(task_rngs(7, 24), draw);
-        let parallel = ParPool::with_workers(6).scatter_gather(task_rngs(7, 24), draw);
+        let serial = ParPool::with_workers(1).scatter_gather(vec![(); 24], draw);
+        let parallel = ParPool::with_workers(6).scatter_gather(vec![(); 24], draw);
         assert_eq!(serial, parallel);
     }
 
@@ -328,18 +321,6 @@ mod tests {
                 run,
             ));
             assert_eq!(serial, parallel, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn task_rngs_match_direct_streams() {
-        let dealt = task_rngs(99, 5);
-        for (i, rng) in dealt.into_iter().enumerate() {
-            let mut a = rng;
-            let mut b = SimRng::stream(99, i as u64);
-            for _ in 0..4 {
-                assert_eq!(a.next_u64(), b.next_u64());
-            }
         }
     }
 }

@@ -1,37 +1,26 @@
-//! Memoized steady-state solves and precomputed operating-point tables.
+//! Memoized steady-state solves.
 //!
 //! [`CpuSku::steady_state`] runs a 64-iteration power/temperature fixed
 //! point. Sweep-style callers — the RAPL settle loop, turbo-table
 //! derivation, the governor's ceiling searches — ask for the *same*
 //! handful of (frequency, voltage, interface) points thousands of
-//! times, so this module adds two complementary layers:
-//!
-//! * [`SteadyStateCache`] — a quantized-key memo table. The key is the
-//!   operating point on the workspace's native quantization grid
-//!   (integer MHz from the 100 MHz bin arithmetic in
-//!   [`units`](crate::units), integer millivolts, the thermal
-//!   interface's identity key) plus the SKU's calibration constants.
-//!   Memoizing a deterministic solver returns bitwise-identical results,
-//!   so cached and direct answers agree exactly — the equivalence tests
-//!   below pin that. Binning keys coarser than the MHz grid would alias
-//!   distinct overclock points (3936 MHz vs 3.9 GHz), which is why the
-//!   key quantizes to the grid the solver itself sees, not to whole
-//!   bins.
-//! * [`OperatingPointTable`] — an eagerly precomputed per-SKU table of
-//!   bin-stepped operating points, for callers that scan the whole
-//!   frequency ladder (Table III max-turbo inversion) rather than probe
-//!   single points.
+//! times, so [`SteadyStateCache`] memoizes them in a quantized-key
+//! table. The key is the operating point on the workspace's native
+//! quantization grid (integer MHz from the 100 MHz bin arithmetic in
+//! [`units`](crate::units), integer millivolts, the thermal interface's
+//! identity key) plus the SKU's calibration constants. Memoizing a
+//! deterministic solver returns bitwise-identical results, so cached and
+//! direct answers agree exactly — the equivalence tests below pin that.
+//! Binning keys coarser than the MHz grid would alias distinct overclock
+//! points (3936 MHz vs 3.9 GHz), which is why the key quantizes to the
+//! grid the solver itself sees, not to whole bins.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use crate::batch::BatchPoint;
 use crate::cpu::{CpuSku, SteadyState};
-use crate::units::{Frequency, Voltage, BIN_MHZ};
-use ic_obs::flight::FlightHandle;
-use ic_obs::json::Value;
-use ic_obs::metrics::MetricsRegistry;
-use ic_obs::trace::TraceLevel;
+use crate::units::{Frequency, Voltage};
 use ic_thermal::junction::ThermalInterface;
 
 /// The memo key: every input the fixed point depends on, quantized to
@@ -91,9 +80,6 @@ pub struct SteadyStateCache {
     map: RefCell<HashMap<OperatingPointKey, SteadyState>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    /// Optional flight recorder for hit/miss instants (attached by
-    /// tracing drivers; `None` costs one branch per lookup).
-    flight: RefCell<Option<FlightHandle>>,
 }
 
 impl SteadyStateCache {
@@ -114,41 +100,20 @@ impl SteadyStateCache {
         let key = OperatingPointKey::new(sku, iface, f, v);
         if let Some(&ss) = self.map.borrow().get(&key) {
             self.hits.set(self.hits.get() + 1);
-            if let Some(flight) = self.flight.borrow().as_ref() {
-                flight.borrow_mut().instant(
-                    "steady_cache",
-                    "hit",
-                    TraceLevel::Debug,
-                    vec![("mhz", Value::U64(f.mhz() as u64))],
-                );
-            }
             return ss;
         }
         let ss = sku.steady_state(iface, f, v);
         self.misses.set(self.misses.get() + 1);
         self.map.borrow_mut().insert(key, ss);
-        if let Some(flight) = self.flight.borrow().as_ref() {
-            flight.borrow_mut().instant(
-                "steady_cache",
-                "miss_solve_insert",
-                TraceLevel::Info,
-                vec![
-                    ("mhz", Value::U64(f.mhz() as u64)),
-                    ("mv", Value::U64(v.mv() as u64)),
-                    ("size", Value::U64(self.map.borrow().len() as u64)),
-                ],
-            );
-        }
         ss
     }
 
     /// The batched equivalent of calling
     /// [`steady_state`](Self::steady_state) once per point, in order:
-    /// same results (bitwise), same hit/miss counter trajectory, same
-    /// flight-instant sequence. Distinct uncached points are solved in
-    /// one structure-of-arrays pass ([`crate::batch`]); cached points
-    /// and within-batch duplicates short-circuit as hits exactly as
-    /// they would sequentially.
+    /// same results (bitwise) and the same hit/miss counter trajectory.
+    /// Distinct uncached points are solved in one structure-of-arrays
+    /// pass ([`crate::batch`]); cached points and within-batch duplicates
+    /// short-circuit as hits exactly as they would sequentially.
     ///
     /// Appends one result per point to `out` in request order.
     pub fn steady_state_batch_into(
@@ -174,10 +139,10 @@ impl SteadyStateCache {
         // One batch solve over the distinct new points.
         let solve_points: Vec<BatchPoint<'_>> = fresh.iter().map(|&(_, i)| points[i]).collect();
         let solved = crate::batch::steady_state_batch(sku, &solve_points);
-        // Pass 2: replay in request order so counters, insertions, and
-        // flight instants land in the exact sequence sequential calls
-        // would produce (a first occurrence is a miss inserted before
-        // the next request is examined; everything else is a hit).
+        // Pass 2: replay in request order so counters and insertions
+        // land in the exact sequence sequential calls would produce (a
+        // first occurrence is a miss inserted before the next request is
+        // examined; everything else is a hit).
         let mut next_fresh = 0usize;
         out.reserve(points.len());
         for (i, p) in points.iter().enumerate() {
@@ -187,31 +152,11 @@ impl SteadyStateCache {
                 next_fresh += 1;
                 self.misses.set(self.misses.get() + 1);
                 self.map.borrow_mut().insert(key, ss);
-                if let Some(flight) = self.flight.borrow().as_ref() {
-                    flight.borrow_mut().instant(
-                        "steady_cache",
-                        "miss_solve_insert",
-                        TraceLevel::Info,
-                        vec![
-                            ("mhz", Value::U64(p.f.mhz() as u64)),
-                            ("mv", Value::U64(p.v.mv() as u64)),
-                            ("size", Value::U64(self.map.borrow().len() as u64)),
-                        ],
-                    );
-                }
                 out.push(ss);
             } else {
                 let key = OperatingPointKey::new(sku, p.iface, p.f, p.v);
                 let ss = *self.map.borrow().get(&key).expect("resolved in pass 1");
                 self.hits.set(self.hits.get() + 1);
-                if let Some(flight) = self.flight.borrow().as_ref() {
-                    flight.borrow_mut().instant(
-                        "steady_cache",
-                        "hit",
-                        TraceLevel::Debug,
-                        vec![("mhz", Value::U64(p.f.mhz() as u64))],
-                    );
-                }
                 out.push(ss);
             }
         }
@@ -276,135 +221,6 @@ impl SteadyStateCache {
     /// `true` if no operating point has been solved yet.
     pub fn is_empty(&self) -> bool {
         self.map.borrow().is_empty()
-    }
-
-    /// Drops all memoized points and zeroes the counters.
-    pub fn clear(&self) {
-        self.map.borrow_mut().clear();
-        self.hits.set(0);
-        self.misses.set(0);
-    }
-
-    /// Attaches a flight recorder: subsequent lookups record a
-    /// `steady_cache`/`hit` instant (`Debug`) on the memo path and a
-    /// `steady_cache`/`miss_solve_insert` instant (`Info`, with the
-    /// operating point and the post-insert size) on the solve path,
-    /// stamped at the recorder's current simulation time.
-    pub fn attach_flight(&self, flight: FlightHandle) {
-        *self.flight.borrow_mut() = Some(flight);
-    }
-
-    /// Detaches the flight recorder (lookups go back to counting only).
-    pub fn detach_flight(&self) {
-        *self.flight.borrow_mut() = None;
-    }
-
-    /// Publishes the cache's state into `metrics` as gauges:
-    /// `steady_cache_hits`, `steady_cache_misses`,
-    /// `steady_cache_hit_rate` (matching [`hit_rate`](Self::hit_rate)
-    /// exactly), and `steady_cache_size`.
-    pub fn export_metrics(&self, metrics: &mut MetricsRegistry) {
-        metrics.gauge_set("steady_cache_hits", self.hits.get() as f64);
-        metrics.gauge_set("steady_cache_misses", self.misses.get() as f64);
-        metrics.gauge_set("steady_cache_hit_rate", self.hit_rate());
-        metrics.gauge_set("steady_cache_size", self.len() as f64);
-    }
-}
-
-/// One precomputed row of an [`OperatingPointTable`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperatingPoint {
-    /// The bin-aligned frequency of this row.
-    pub frequency: Frequency,
-    /// The V/f-curve voltage the SKU needs at that frequency.
-    pub voltage: Voltage,
-    /// The solved steady state at (`frequency`, `voltage`).
-    pub state: SteadyState,
-}
-
-/// A per-SKU table of solved operating points, one per 100 MHz bin from
-/// base upward — the precomputed complement to [`SteadyStateCache`] for
-/// callers that scan the whole ladder (max-turbo inversions, staircase
-/// plots) instead of probing isolated points.
-///
-/// # Example
-///
-/// ```
-/// use ic_power::cache::OperatingPointTable;
-/// use ic_power::cpu::CpuSku;
-/// use ic_thermal::junction::ThermalInterface;
-///
-/// let sku = CpuSku::skylake_8180();
-/// let air = ThermalInterface::air(35.0, 12.1, 0.21);
-/// let table = OperatingPointTable::build(&sku, &air, 30);
-/// assert_eq!(table.max_turbo(sku.tdp_w()), sku.max_turbo(&air, sku.tdp_w()));
-/// ```
-#[derive(Debug, Clone)]
-pub struct OperatingPointTable {
-    base_mhz: u32,
-    points: Vec<OperatingPoint>,
-}
-
-impl OperatingPointTable {
-    /// Solves `bins_above_base + 1` operating points (base included) for
-    /// `sku` under `iface`, each at the V/f-curve voltage.
-    pub fn build(sku: &CpuSku, iface: &ThermalInterface, bins_above_base: u32) -> Self {
-        let base = sku.base();
-        let points = (0..=bins_above_base)
-            .map(|bin| {
-                let frequency = base.step_bins(bin as i32);
-                let voltage = sku.voltage_for(frequency);
-                OperatingPoint {
-                    frequency,
-                    voltage,
-                    state: sku.steady_state(iface, frequency, voltage),
-                }
-            })
-            .collect();
-        OperatingPointTable {
-            base_mhz: base.mhz(),
-            points,
-        }
-    }
-
-    /// The precomputed point at `f`, if `f` is bin-aligned and inside
-    /// the table's range.
-    pub fn lookup(&self, f: Frequency) -> Option<&OperatingPoint> {
-        let mhz = f.mhz();
-        if mhz < self.base_mhz || !(mhz - self.base_mhz).is_multiple_of(BIN_MHZ) {
-            return None;
-        }
-        self.points.get(((mhz - self.base_mhz) / BIN_MHZ) as usize)
-    }
-
-    /// The highest tabulated frequency whose steady-state power fits
-    /// `power_limit_w` — [`CpuSku::max_turbo`] as a table scan: step up
-    /// from base, stop at the first bin over the limit.
-    pub fn max_turbo(&self, power_limit_w: f64) -> Frequency {
-        let mut best = Frequency::from_mhz(self.base_mhz);
-        for p in &self.points[1..] {
-            if p.state.power_w <= power_limit_w {
-                best = p.frequency;
-            } else {
-                break;
-            }
-        }
-        best
-    }
-
-    /// The number of tabulated points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if the table has no points (never, for a built table).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// All tabulated points in ascending frequency order.
-    pub fn points(&self) -> &[OperatingPoint] {
-        &self.points
     }
 }
 
@@ -557,6 +373,8 @@ mod tests {
         // 3936 MHz (the +23 % overclock point of a 3.2 GHz flat-top) and
         // its 3.9 GHz bin neighbour must resolve separately.
         let cache = SteadyStateCache::new();
+        assert!(cache.is_empty());
+        assert_eq!(cache.hit_rate(), 0.0, "0 when never consulted");
         let sku = CpuSku::skylake_8180();
         let iface = ThermalInterface::two_phase(DielectricFluid::fc3284(), 0.08, 1.6);
         let a = Frequency::from_mhz(3936);
@@ -565,113 +383,12 @@ mod tests {
         let pb = cache.steady_state(&sku, &iface, b, sku.voltage_for(b));
         assert!(pa.power_w > pb.power_w, "{} vs {}", pa.power_w, pb.power_w);
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn clear_resets_contents_and_counters() {
-        let cache = SteadyStateCache::new();
-        let sku = CpuSku::skylake_8180();
-        let iface = ThermalInterface::air(35.0, 12.1, 0.21);
-        cache.steady_state(&sku, &iface, sku.base(), sku.nominal_voltage());
-        cache.steady_state(&sku, &iface, sku.base(), sku.nominal_voltage());
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert_eq!(cache.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn exported_gauges_match_counters_and_hit_rate() {
-        let cache = SteadyStateCache::new();
-        let sku = CpuSku::skylake_8180();
-        let iface = ThermalInterface::air(35.0, 12.1, 0.21);
-        // 1 miss + 3 hits on one point, 1 miss on another: rate 3/5.
-        for _ in 0..4 {
-            cache.steady_state(&sku, &iface, sku.base(), sku.nominal_voltage());
+        // Three repeats of one point hit: 3 of 5 lookups.
+        for _ in 0..3 {
+            cache.steady_state(&sku, &iface, a, sku.voltage_for(a));
         }
-        cache.steady_state(&sku, &iface, sku.air_turbo(), sku.nominal_voltage());
-
-        let mut metrics = MetricsRegistry::new();
-        cache.export_metrics(&mut metrics);
-        assert_eq!(metrics.gauge("steady_cache_hits"), Some(3.0));
-        assert_eq!(metrics.gauge("steady_cache_misses"), Some(2.0));
-        assert_eq!(
-            metrics.gauge("steady_cache_hit_rate"),
-            Some(cache.hit_rate())
-        );
-        assert_eq!(metrics.gauge("steady_cache_hit_rate"), Some(0.6));
-        assert_eq!(metrics.gauge("steady_cache_size"), Some(2.0));
-    }
-
-    #[test]
-    fn attached_flight_records_hit_and_miss_instants() {
-        let cache = SteadyStateCache::new();
-        let flight = ic_obs::flight::shared_flight(1024);
-        cache.attach_flight(flight.clone());
-        let sku = CpuSku::skylake_8180();
-        let iface = ThermalInterface::air(35.0, 12.1, 0.21);
-        cache.steady_state(&sku, &iface, sku.base(), sku.nominal_voltage());
-        cache.steady_state(&sku, &iface, sku.base(), sku.nominal_voltage());
-
-        let counts = flight.borrow().counts_by_kind();
-        assert_eq!(counts[&("steady_cache", "miss_solve_insert")], 1);
-        assert_eq!(counts[&("steady_cache", "hit")], 1);
-
-        cache.detach_flight();
-        cache.steady_state(&sku, &iface, sku.base(), sku.nominal_voltage());
-        assert_eq!(
-            flight.borrow().counts_by_kind()[&("steady_cache", "hit")],
-            1
-        );
-    }
-
-    #[test]
-    fn table_rows_match_direct_solves() {
-        for sku in skus() {
-            let iface = ThermalInterface::air(35.0, 12.0, 0.22);
-            let table = OperatingPointTable::build(&sku, &iface, 30);
-            assert_eq!(table.len(), 31);
-            for p in table.points() {
-                assert_eq!(p.voltage, sku.voltage_for(p.frequency));
-                assert_eq!(
-                    p.state,
-                    sku.steady_state(&iface, p.frequency, p.voltage),
-                    "{} at {}",
-                    sku.name(),
-                    p.frequency
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn table_max_turbo_matches_sku_over_limit_sweep() {
-        let sku = CpuSku::skylake_8180();
-        for iface in interfaces() {
-            let table = OperatingPointTable::build(&sku, &iface, 30);
-            for limit in (100..=420).step_by(20) {
-                let limit = limit as f64;
-                assert_eq!(
-                    table.max_turbo(limit),
-                    sku.max_turbo(&iface, limit),
-                    "limit {limit}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn table_lookup_rejects_misaligned_and_out_of_range() {
-        let sku = CpuSku::skylake_8180();
-        let iface = ThermalInterface::air(35.0, 12.1, 0.21);
-        let table = OperatingPointTable::build(&sku, &iface, 10);
-        assert!(table.lookup(sku.base()).is_some());
-        assert!(table.lookup(sku.base().step_bins(10)).is_some());
-        assert!(table.lookup(sku.base().step_bins(11)).is_none());
-        assert!(table
-            .lookup(Frequency::from_mhz(sku.base().mhz() + 50))
-            .is_none());
-        assert!(table.lookup(Frequency::from_mhz(100)).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (3, 2));
+        assert_eq!(cache.hit_rate(), 0.6);
+        assert_eq!(cache.len(), 2);
     }
 }

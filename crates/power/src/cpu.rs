@@ -221,11 +221,6 @@ impl CpuSku {
         self.nominal_v
     }
 
-    /// The SKU's voltage/frequency curve.
-    pub fn vf_curve(&self) -> &VfCurve {
-        &self.vf
-    }
-
     /// The leakage model.
     pub fn leakage(&self) -> &LeakageModel {
         &self.leakage

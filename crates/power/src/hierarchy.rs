@@ -53,23 +53,9 @@ impl PowerDomain {
         }
     }
 
-    /// The domain label.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The domain's breaker budget, watts.
     pub fn budget_w(&self) -> f64 {
         self.budget_w
-    }
-
-    /// Total demand underneath this domain, watts.
-    pub fn total_demand_w(&self) -> f64 {
-        if self.children.is_empty() {
-            self.requests.iter().map(|r| r.demand_w).sum()
-        } else {
-            self.children.iter().map(|c| c.total_demand_w()).sum()
-        }
     }
 
     /// Total floors underneath this domain, watts.
@@ -79,11 +65,6 @@ impl PowerDomain {
         } else {
             self.children.iter().map(|c| c.total_floor_w()).sum()
         }
-    }
-
-    /// The oversubscription ratio of this domain: demand / budget.
-    pub fn oversubscription(&self) -> f64 {
-        self.total_demand_w() / self.budget_w
     }
 
     /// Resolves the whole tree top-down: each domain receives
@@ -160,15 +141,6 @@ impl PowerDomain {
             out
         }
     }
-
-    /// `true` if any domain in the tree is oversubscribed (demand above
-    /// its own budget).
-    pub fn any_oversubscribed(&self) -> bool {
-        if self.oversubscription() > 1.0 {
-            return true;
-        }
-        self.children.iter().any(|c| c.any_oversubscribed())
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +212,6 @@ mod tests {
                 rack("rack-b", 3000.0, 8, Priority::Normal),
             ],
         );
-        assert!(dc.any_oversubscribed());
         let grants = dc.resolve();
         let total: f64 = grants.iter().map(|(_, g)| g.granted_w).sum();
         assert!(total <= 4000.0 + 1e-6, "total {total}");
@@ -341,9 +312,7 @@ mod tests {
                 rack("b", 4000.0, 2, Priority::Normal),
             ],
         );
-        assert_eq!(dc.total_demand_w(), 6.0 * 305.0);
         assert_eq!(dc.total_floor_w(), 6.0 * 150.0);
-        assert!((dc.oversubscription() - 1830.0 / 10_000.0).abs() < 1e-12);
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl LeakageModel {
     pub fn saving_w(&self, hot_c: f64, cold_c: f64, v: Voltage) -> f64 {
         self.power_w(hot_c, v) - self.power_w(cold_c, v)
     }
-
-    /// The exponential temperature coefficient β (1/°C).
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
 }
 
 impl Default for LeakageModel {

@@ -14,11 +14,10 @@
 //!   on junction temperature, which depends on power), reproducing Table
 //!   III's "one extra turbo bin in 2PIC at identical power",
 //! * [`server`] — the Open Compute server component breakdown (700 W in
-//!   air, 658 W immersed) and the paper's 182 W/server savings estimate,
+//!   air, 42 W of it fans) and the paper's 182 W/server savings estimate,
 //! * [`capping`] — RAPL-style priority-aware power capping for
 //!   oversubscribed power delivery infrastructure,
-//! * [`cache`] — memoized steady-state solves and precomputed per-SKU
-//!   operating-point tables for sweep-style callers,
+//! * [`cache`] — memoized steady-state solves for sweep-style callers,
 //! * [`batch`] — a structure-of-arrays batch solver running the same
 //!   fixed point across many operating points per pass, bitwise-equal
 //!   to the scalar path.

@@ -10,7 +10,7 @@
 //! server.
 
 use crate::leakage::LeakageModel;
-use crate::units::{Frequency, Voltage};
+use crate::units::Voltage;
 use ic_thermal::technology::CoolingTechnology;
 
 /// One power-drawing server component.
@@ -31,8 +31,8 @@ pub struct Component {
 ///
 /// let air = ServerPower::open_compute_air();
 /// assert_eq!(air.total_w(), 700.0);
-/// let immersed = air.immersed();
-/// assert_eq!(immersed.total_w(), 658.0); // fans removed
+/// // Immersion removes the 42 W of fans.
+/// assert_eq!(air.component_w("fans"), Some(42.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerPower {
@@ -73,54 +73,6 @@ impl ServerPower {
         }
     }
 
-    /// Builds a custom breakdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any component has negative or non-finite power.
-    pub fn from_components(components: Vec<Component>) -> Self {
-        assert!(
-            components
-                .iter()
-                .all(|c| c.power_w.is_finite() && c.power_w >= 0.0),
-            "component power must be finite and non-negative"
-        );
-        ServerPower { components }
-    }
-
-    /// The same server prepared for immersion: fans removed or disabled.
-    pub fn immersed(&self) -> ServerPower {
-        ServerPower {
-            components: self
-                .components
-                .iter()
-                .filter(|c| c.name != "fans")
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// The same server with each socket allowed `extra_w_per_socket` of
-    /// overclocking headroom. The paper assumes up to +100 W per socket
-    /// (205 W → 305 W), i.e. +200 W for the dual-socket blade.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extra_w_per_socket` is negative or non-finite.
-    pub fn overclocked(&self, extra_w_per_socket: f64, sockets: u32) -> ServerPower {
-        assert!(
-            extra_w_per_socket.is_finite() && extra_w_per_socket >= 0.0,
-            "invalid overclock headroom"
-        );
-        let mut components = self.components.clone();
-        for c in &mut components {
-            if c.name == "cpu" {
-                c.power_w += extra_w_per_socket * sockets as f64;
-            }
-        }
-        ServerPower { components }
-    }
-
     /// Total server power in watts.
     pub fn total_w(&self) -> f64 {
         self.components.iter().map(|c| c.power_w).sum()
@@ -132,51 +84,6 @@ impl ServerPower {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.power_w)
-    }
-
-    /// All components.
-    pub fn components(&self) -> &[Component] {
-        &self.components
-    }
-}
-
-/// DIMM power scaling with memory frequency: roughly linear in clock over
-/// the 2.4–3.0 GHz range Table VII explores.
-///
-/// # Example
-///
-/// ```
-/// use ic_power::server::MemoryPower;
-/// use ic_power::units::Frequency;
-///
-/// let m = MemoryPower::ddr4_dimm();
-/// // 5 W at DDR4-2400; 25 % more at 3.0 GHz.
-/// assert_eq!(m.dimm_w(Frequency::from_ghz(2.4)), 5.0);
-/// assert!((m.dimm_w(Frequency::from_ghz(3.0)) - 6.25).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryPower {
-    base_w: f64,
-    base_f: Frequency,
-}
-
-impl MemoryPower {
-    /// The large-tank server's DDR4 DIMM: 5 W at 2.4 GHz.
-    pub fn ddr4_dimm() -> Self {
-        MemoryPower {
-            base_w: 5.0,
-            base_f: Frequency::from_ghz(2.4),
-        }
-    }
-
-    /// Per-DIMM power at memory frequency `f` (linear in clock).
-    pub fn dimm_w(&self, f: Frequency) -> f64 {
-        self.base_w * f.ratio_to(self.base_f)
-    }
-
-    /// Power for a bank of `dimms` DIMMs at frequency `f`.
-    pub fn bank_w(&self, dimms: u32, f: Frequency) -> f64 {
-        self.dimm_w(f) * dimms as f64
     }
 }
 
@@ -239,29 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn immersion_removes_fans() {
-        let s = ServerPower::open_compute_air().immersed();
-        assert_eq!(s.total_w(), 658.0);
-        assert_eq!(s.component_w("fans"), None);
-    }
-
-    #[test]
-    fn overclocking_adds_per_socket_headroom() {
-        let s = ServerPower::open_compute_air()
-            .immersed()
-            .overclocked(100.0, 2);
-        assert_eq!(s.component_w("cpu"), Some(610.0));
-        assert_eq!(s.total_w(), 858.0);
-    }
-
-    #[test]
-    fn memory_power_scales_linearly() {
-        let m = MemoryPower::ddr4_dimm();
-        assert_eq!(m.bank_w(24, Frequency::from_ghz(2.4)), 120.0);
-        assert!((m.bank_w(24, Frequency::from_ghz(3.0)) - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn paper_182w_savings_decomposition() {
         // 2 × 11 W static + 42 W fans + 118 W PUE ≈ 182 W (Section IV).
         let server = ServerPower::open_compute_air();
@@ -298,14 +182,5 @@ mod tests {
         );
         let fraction = savings.total_w() / 200.0;
         assert!(fraction > 0.8, "offsets {fraction:.0}% of the OC power");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn negative_component_power_panics() {
-        let _ = ServerPower::from_components(vec![Component {
-            name: "x".into(),
-            power_w: -1.0,
-        }]);
     }
 }

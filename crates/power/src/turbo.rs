@@ -104,17 +104,6 @@ impl TurboTable {
     pub fn all_core(&self) -> Frequency {
         *self.entries.last().expect("non-empty table")
     }
-
-    /// The single-core boost.
-    pub fn single_core(&self) -> Frequency {
-        self.entries[0]
-    }
-
-    /// The number of core-count steps in the table where the frequency
-    /// changes (the "bins" of the classic staircase plot).
-    pub fn staircase_steps(&self) -> usize {
-        self.entries.windows(2).filter(|w| w[0] != w[1]).count()
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +139,9 @@ mod tests {
         let t = table(&air());
         // All-core = the Table III air turbo; single-core hits the cap.
         assert_eq!(t.all_core(), Frequency::from_ghz(2.6));
-        assert_eq!(t.single_core(), Frequency::from_ghz(3.8));
-        assert!(t.staircase_steps() >= 3, "staircase should have steps");
+        assert_eq!(t.frequency_for(1), Frequency::from_ghz(3.8));
+        let steps = t.entries.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(steps >= 3, "staircase should have steps");
     }
 
     #[test]

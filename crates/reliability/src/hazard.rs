@@ -137,20 +137,6 @@ impl HazardIntegrator {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
-
-    /// The remaining time to the event if the hazard stays at
-    /// `rate_per_s` — `None` when the rate is zero and the threshold is
-    /// not yet crossed (the event never fires). Crossed integrators
-    /// report zero.
-    pub fn eta_s(&self, rate_per_s: f64) -> Option<f64> {
-        if self.crossed() {
-            return Some(0.0);
-        }
-        if rate_per_s <= 0.0 {
-            return None;
-        }
-        Some((self.threshold - self.cumulative) / rate_per_s)
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +158,6 @@ mod tests {
         assert!(!h.accrue(0.0, 100.0)); // parked: no wear
         assert!(h.accrue(0.3, 2.0)); // 1.0: crossed
         assert!(h.crossed());
-        assert_eq!(h.eta_s(0.3), Some(0.0));
     }
 
     #[test]
@@ -205,15 +190,6 @@ mod tests {
             }
         }
         assert!(t_oc3.unwrap() < t_b2.unwrap());
-    }
-
-    #[test]
-    fn eta_projects_the_crossing() {
-        let mut h = HazardIntegrator::new(1.0);
-        h.accrue(0.01, 50.0); // cumulative 0.5
-        let eta = h.eta_s(0.01).unwrap();
-        assert!((eta - 50.0).abs() < 1e-9);
-        assert_eq!(h.eta_s(0.0), None);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! * [`wear`] — wear-out credit accounting for trading lifetime against
 //!   extra overclocking,
 //! * [`stability`] — the correctable-error / computational-stability
-//!   model and monitor (Takeaway 3),
+//!   model (Takeaway 3),
 //! * [`hazard`] — hazard integration turning the rate models into
 //!   event times for discrete-event fault injection (`ic-chaos`).
 //!

@@ -28,17 +28,6 @@ pub struct CompositeLifetimeModel {
     mechanisms: Vec<Box<dyn FailureMechanism>>,
 }
 
-/// One mechanism's contribution to the total failure rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateContribution {
-    /// The mechanism name (Table IV row).
-    pub mechanism: &'static str,
-    /// Failure rate, 1/years.
-    pub rate_per_year: f64,
-    /// Share of the total rate, in `[0, 1]`.
-    pub share: f64,
-}
-
 impl CompositeLifetimeModel {
     /// Builds the composite from a scenario's fit coefficients: gate-
     /// oxide breakdown + electromigration + thermal cycling.
@@ -80,57 +69,6 @@ impl CompositeLifetimeModel {
     /// (continuous peak) utilization as the paper's model does.
     pub fn lifetime_years(&self, cond: &OperatingConditions) -> f64 {
         1.0 / self.failure_rate_per_year(cond)
-    }
-
-    /// Per-mechanism rate decomposition, in the order the mechanisms were
-    /// registered.
-    pub fn breakdown(&self, cond: &OperatingConditions) -> Vec<RateContribution> {
-        let total = self.failure_rate_per_year(cond);
-        self.mechanisms
-            .iter()
-            .map(|m| {
-                let rate = m.rate_per_year(cond);
-                RateContribution {
-                    mechanism: m.name(),
-                    rate_per_year: rate,
-                    share: if total > 0.0 { rate / total } else { 0.0 },
-                }
-            })
-            .collect()
-    }
-
-    /// Finds the highest peak junction temperature (°C, within
-    /// `[tj_min, 149]`) at which the projected lifetime still reaches
-    /// `target_years`, by bisection. Returns `None` if even `tj_min`
-    /// cannot meet the target. This inverts the model the way the paper
-    /// uses it: "we use the model to calculate the temperature, power,
-    /// and voltage at which electronics maintain the same predicted
-    /// lifetime".
-    pub fn max_tj_for_lifetime(
-        &self,
-        voltage_v: f64,
-        tj_min_c: f64,
-        target_years: f64,
-    ) -> Option<f64> {
-        assert!(target_years > 0.0, "target lifetime must be positive");
-        let life_at =
-            |tj: f64| self.lifetime_years(&OperatingConditions::new(voltage_v, tj, tj_min_c));
-        if life_at(tj_min_c) < target_years {
-            return None;
-        }
-        let (mut lo, mut hi) = (tj_min_c, 149.0);
-        if life_at(hi) >= target_years {
-            return Some(hi);
-        }
-        for _ in 0..80 {
-            let mid = (lo + hi) / 2.0;
-            if life_at(mid) >= target_years {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(lo)
     }
 }
 
@@ -221,40 +159,18 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_shares_sum_to_one() {
-        let model = CompositeLifetimeModel::fitted_5nm();
-        let b = model.breakdown(&OperatingConditions::new(0.98, 101.0, 20.0));
-        assert_eq!(b.len(), 3);
-        let total: f64 = b.iter().map(|c| c.share).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        // At the air-overclocked point, thermal cycling dominates.
-        let tc = b.iter().find(|c| c.mechanism == "Thermal cycling").unwrap();
-        assert!(tc.share > 0.4, "tc share {}", tc.share);
-    }
-
-    #[test]
     fn cycling_negligible_in_immersion() {
         let model = CompositeLifetimeModel::fitted_5nm();
-        let b = model.breakdown(&OperatingConditions::new(0.98, 74.0, 50.0));
-        let tc = b.iter().find(|c| c.mechanism == "Thermal cycling").unwrap();
-        assert!(tc.share < 0.01, "tc share {}", tc.share);
-    }
-
-    #[test]
-    fn max_tj_inversion_is_consistent() {
-        let model = CompositeLifetimeModel::fitted_5nm();
-        let tj = model.max_tj_for_lifetime(0.98, 35.0, 5.0).unwrap();
-        // Table V: 0.98 V with HFE-7000 swing keeps 5 years up to ~60 °C.
-        assert!((tj - 60.0).abs() < 3.0, "tj = {tj}");
-        let at = model.lifetime_years(&OperatingConditions::new(0.98, tj, 35.0));
-        assert!((at - 5.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn max_tj_none_when_voltage_alone_kills_target() {
-        let model = CompositeLifetimeModel::fitted_5nm();
-        // At 1.4 V even a cold junction cannot reach 5 years.
-        assert_eq!(model.max_tj_for_lifetime(1.4, 35.0, 5.0), None);
+        let cycling = ThermalCycling::from_spec(&ReliabilityCalibration::paper().thermal_cycling);
+        let share = |cond: OperatingConditions| {
+            cycling.rate_per_year(&cond) / model.failure_rate_per_year(&cond)
+        };
+        // At the air-overclocked point, thermal cycling dominates...
+        let air = share(OperatingConditions::new(0.98, 101.0, 20.0));
+        assert!(air > 0.4, "air tc share {air}");
+        // ...while the immersed junction barely cycles.
+        let tank = share(OperatingConditions::new(0.98, 74.0, 50.0));
+        assert!(tank < 0.01, "tank tc share {tank}");
     }
 
     #[test]

@@ -29,7 +29,6 @@ use crate::lifetime::{CompositeLifetimeModel, OperatingConditions};
 /// // One year at the HFE-7000 nominal point consumes very little life.
 /// let nominal = OperatingConditions::new(0.90, 51.0, 35.0);
 /// wear.accrue(&model, &nominal, 1.0);
-/// assert!(wear.consumed_fraction() < 0.1);
 /// assert!(wear.credit_years(1.0) > 0.7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,22 +96,6 @@ impl WearTracker {
         self.elapsed_years += duration_years;
     }
 
-    /// The fraction of the part's life consumed so far (may exceed 1 if
-    /// the part is run past exhaustion).
-    pub fn consumed_fraction(&self) -> f64 {
-        self.consumed_fraction
-    }
-
-    /// Calendar years of operation recorded.
-    pub fn elapsed_years(&self) -> f64 {
-        self.elapsed_years
-    }
-
-    /// The service-life target.
-    pub fn service_target_years(&self) -> f64 {
-        self.service_target_years
-    }
-
     /// Lifetime credit in *budget years*: how far the part is ahead of
     /// its nominal wear schedule after `elapsed` years. A part on
     /// schedule consumes `elapsed / target` of its life; consuming less
@@ -137,16 +120,6 @@ impl WearTracker {
             (self.service_target_years - self.elapsed_years - duration_years).max(0.0);
         let rest = remaining_time / model.lifetime_years(rest_cond);
         spent + rest <= 1.0
-    }
-
-    /// The remaining years at `cond` before the part's life is fully
-    /// consumed.
-    pub fn remaining_years_at(
-        &self,
-        model: &CompositeLifetimeModel,
-        cond: &OperatingConditions,
-    ) -> f64 {
-        ((1.0 - self.consumed_fraction) * model.lifetime_years(cond)).max(0.0)
     }
 }
 
@@ -174,7 +147,7 @@ mod tests {
         let m = model();
         let mut wear = WearTracker::new(5.0);
         wear.accrue(&m, &hfe_oc(), 5.0);
-        assert!((wear.consumed_fraction() - 1.0).abs() < 0.15);
+        assert!((wear.consumed_fraction - 1.0).abs() < 0.15);
     }
 
     #[test]
@@ -182,11 +155,7 @@ mod tests {
         let m = model();
         let mut wear = WearTracker::new(5.0);
         wear.accrue(&m, &air_oc(), 0.5);
-        assert!(
-            wear.consumed_fraction() > 0.5,
-            "{}",
-            wear.consumed_fraction()
-        );
+        assert!(wear.consumed_fraction > 0.5, "{}", wear.consumed_fraction);
         assert!(!wear.can_afford(&m, &air_oc(), 1.0, &hfe_nominal()));
     }
 
@@ -203,24 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn remaining_years_scales_with_conditions() {
-        let m = model();
-        let wear = WearTracker::new(5.0);
-        let nominal = wear.remaining_years_at(&m, &hfe_nominal());
-        let oc = wear.remaining_years_at(&m, &hfe_oc());
-        assert!(nominal > oc);
-        assert!(oc > 4.0 && oc < 6.0);
-    }
-
-    #[test]
     fn consumed_fraction_accumulates_across_epochs() {
         let m = model();
         let mut wear = WearTracker::new(5.0);
         wear.accrue(&m, &hfe_nominal(), 1.0);
-        let after_one = wear.consumed_fraction();
+        let after_one = wear.consumed_fraction;
         wear.accrue(&m, &hfe_oc(), 1.0);
-        assert!(wear.consumed_fraction() > after_one);
-        assert_eq!(wear.elapsed_years(), 2.0);
+        assert!(wear.consumed_fraction > after_one);
+        assert_eq!(wear.elapsed_years, 2.0);
     }
 
     #[test]
@@ -228,7 +187,7 @@ mod tests {
         let m = model();
         let mut wear = WearTracker::new(5.0);
         wear.accrue(&m, &air_oc(), 0.0);
-        assert_eq!(wear.consumed_fraction(), 0.0);
+        assert_eq!(wear.consumed_fraction, 0.0);
     }
 
     #[test]

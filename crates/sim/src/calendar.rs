@@ -115,10 +115,6 @@ impl<S: 'static> StagingLane<S> {
     fn drain_into(&mut self, out: &mut VecDeque<Entry<S>>) {
         out.extend(self.entries.drain(..));
     }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 pub(crate) struct CalendarQueue<S: 'static> {
@@ -391,46 +387,6 @@ impl<S: 'static> CalendarQueue<S> {
         self.len -= 1;
         self.current.pop_front()
     }
-
-    /// Timestamp of the next pending event without disturbing the queue.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        let near = match (
-            self.current.front().map(|e| e.at),
-            self.staging
-                .min_key()
-                .map(|k| SimTime::from_nanos((k >> 64) as u64)),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if near.is_some() {
-            return near;
-        }
-        // Buckets are time-ordered, so the first non-empty one holds the
-        // minimum among buckets; the overflow tier is strictly later.
-        for k in self.next_bucket..self.buckets.len() {
-            if !self.buckets[k].is_empty() {
-                return self.buckets[k].iter().map(|e| e.at).min();
-            }
-        }
-        self.overflow.iter().map(|e| e.at).min()
-    }
-
-    /// Discards every pending event (dropping their handlers unrun) and
-    /// returns to direct mode.
-    pub(crate) fn clear(&mut self) {
-        self.current.clear();
-        self.staging.clear();
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.overflow.clear();
-        self.next_bucket = self.buckets.len();
-        self.current_end = SimTime::MAX;
-        self.horizon = SimTime::MAX;
-        self.spill_retry_len = 0;
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -570,37 +526,6 @@ mod tests {
             assert_eq!(e.seq, want);
         }
         assert!(cal.pop_at_most(SimTime::MAX).is_none());
-    }
-
-    #[test]
-    fn peek_time_sees_all_tiers() {
-        let mut pool = BoxPool::new();
-        let mut cal: CalendarQueue<()> = CalendarQueue::new();
-        assert_eq!(cal.peek_time(), None);
-        // Force an epoch: overload direct mode with a wide spread.
-        for i in 0..300u64 {
-            cal.push(entry(1_000 + i * 997, i, &mut pool));
-        }
-        assert_eq!(cal.peek_time(), Some(SimTime::from_nanos(1_000)));
-        let first = cal.pop_at_most(SimTime::MAX).unwrap();
-        assert_eq!(first.at, SimTime::from_nanos(1_000));
-        assert_eq!(cal.peek_time(), Some(SimTime::from_nanos(1_997)));
-    }
-
-    #[test]
-    fn clear_resets_every_tier() {
-        let mut pool = BoxPool::new();
-        let mut cal: CalendarQueue<()> = CalendarQueue::new();
-        for i in 0..500u64 {
-            cal.push(entry(i * 7_919, i, &mut pool));
-        }
-        let _ = cal.pop_at_most(SimTime::MAX);
-        cal.clear();
-        assert_eq!(cal.len(), 0);
-        assert_eq!(cal.peek_time(), None);
-        assert!(cal.pop_at_most(SimTime::MAX).is_none());
-        cal.push(entry(5, 500, &mut pool));
-        assert_eq!(cal.pop_at_most(SimTime::MAX).map(|e| e.seq), Some(500));
     }
 
     #[test]

@@ -156,16 +156,6 @@ impl Exponential {
         assert!(mean.is_finite() && mean > 0.0, "invalid mean {mean}");
         Exponential { mean }
     }
-
-    /// Creates an exponential distribution with the given rate `λ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn with_rate(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate > 0.0, "invalid rate {rate}");
-        Exponential { mean: 1.0 / rate }
-    }
 }
 
 impl Dist for Exponential {
@@ -643,7 +633,6 @@ mod tests {
         let d = Exponential::with_mean(2.0);
         check_moments(&d, 50_000, 0.03);
         assert_eq!(d.scv(), 1.0);
-        assert!((Exponential::with_rate(0.5).mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl<S: 'static> Engine<S> {
         self.observer = Some(observer);
     }
 
-    /// Detaches and returns the current observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn EngineObserver>> {
-        self.observer.take()
-    }
-
     /// The current simulation instant.
     pub fn now(&self) -> SimTime {
         self.now
@@ -242,16 +237,6 @@ impl<S: 'static> Engine<S> {
         }
     }
 
-    /// The timestamp of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Discards all pending events without running them.
-    pub fn clear(&mut self) {
-        self.queue.clear();
-    }
-
     /// Returns a retired boxed-event cell to the free-list (called from
     /// the boxed invoke shim just before the handler runs).
     pub(crate) fn recycle_event_box(&mut self, ptr: *mut u8, layout: Layout) {
@@ -363,16 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_discards_pending() {
-        let mut engine: Engine<u32> = Engine::new();
-        engine.schedule(SimTime::from_secs(1), |c, _| *c += 1);
-        engine.clear();
-        let mut count = 0;
-        engine.run(&mut count);
-        assert_eq!(count, 0);
-    }
-
-    #[test]
     fn observer_sees_labeled_events() {
         use crate::observe::{EngineObserver, EventRecord};
         use std::cell::RefCell;
@@ -413,20 +388,18 @@ mod tests {
         }
         let mut plain = build();
         let mut observed = build();
-        observed.set_observer(Box::new(crate::observe::CountingObserver::default()));
+        struct Counting(u64);
+        impl crate::observe::EngineObserver for Counting {
+            fn on_event(&mut self, _: &crate::observe::EventRecord) {
+                self.0 += 1;
+            }
+        }
+        observed.set_observer(Box::new(Counting(0)));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         plain.run(&mut a);
         observed.run(&mut b);
         assert_eq!(a, b);
         assert_eq!(plain.now(), observed.now());
-    }
-
-    #[test]
-    fn next_event_time_peeks() {
-        let mut engine: Engine<()> = Engine::new();
-        assert_eq!(engine.next_event_time(), None);
-        engine.schedule(SimTime::from_secs(7), |_, _| {});
-        assert_eq!(engine.next_event_time(), Some(SimTime::from_secs(7)));
     }
 
     #[test]

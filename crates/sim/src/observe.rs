@@ -38,20 +38,3 @@ pub trait EngineObserver {
     /// Called once per executed event, after its handler returns.
     fn on_event(&mut self, record: &EventRecord);
 }
-
-/// An observer that counts events by kind without any dependencies —
-/// useful in tests and as the trivial reference implementation.
-#[derive(Debug, Default)]
-pub struct CountingObserver {
-    /// Total events seen.
-    pub events: u64,
-    /// Maximum queue depth seen.
-    pub max_queue_depth: usize,
-}
-
-impl EngineObserver for CountingObserver {
-    fn on_event(&mut self, record: &EventRecord) {
-        self.events += 1;
-        self.max_queue_depth = self.max_queue_depth.max(record.queue_depth);
-    }
-}

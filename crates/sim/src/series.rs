@@ -2,9 +2,9 @@
 //!
 //! The paper's Figures 15 and 16 are utilization/frequency traces over
 //! time. [`TimeSeries`] records `(time, value)` points during a simulation
-//! run, supports fixed-interval resampling for plotting, and renders to
-//! CSV so the experiment binaries can emit the exact series each figure
-//! plots.
+//! run, supports fixed-interval resampling for plotting, and
+//! [`merge_csv`] renders series to CSV so the experiments can emit the
+//! exact series each figure plots.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -99,38 +99,12 @@ impl TimeSeries {
         out
     }
 
-    /// The time-weighted mean of the series over its recorded span,
-    /// treating the signal as piecewise constant. Returns `None` for series
-    /// with fewer than two points.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut sum = 0.0;
-        for pair in self.points.windows(2) {
-            let (t0, v0) = pair[0];
-            let (t1, _) = pair[1];
-            sum += v0 * (t1 - t0).as_secs_f64();
-        }
-        let span = (self.points.last().unwrap().0 - self.points[0].0).as_secs_f64();
-        Some(sum / span)
-    }
-
     /// The maximum recorded value, or `None` if empty.
     pub fn max(&self) -> Option<f64> {
         self.points
             .iter()
             .map(|&(_, v)| v)
             .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Renders the series as a two-column CSV (`time_s,<name>`).
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("time_s,{}\n", self.name);
-        for &(t, v) in &self.points {
-            out.push_str(&format!("{:.3},{:.6}\n", t.as_secs_f64(), v));
-        }
-        out
     }
 }
 
@@ -205,22 +179,6 @@ mod tests {
                 (SimTime::from_secs(30), 4.0),
             ]
         );
-    }
-
-    #[test]
-    fn time_weighted_mean_piecewise() {
-        let s = sample_series();
-        // 1.0 for 10 s + 2.0 for 10 s over 20 s = 1.5
-        assert_eq!(s.time_weighted_mean(), Some(1.5));
-        assert_eq!(TimeSeries::new("e").time_weighted_mean(), None);
-    }
-
-    #[test]
-    fn csv_output() {
-        let s = sample_series();
-        let csv = s.to_csv();
-        assert!(csv.starts_with("time_s,x\n"));
-        assert!(csv.contains("10.000,2.000000"));
     }
 
     #[test]

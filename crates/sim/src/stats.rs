@@ -3,10 +3,10 @@
 //! The evaluation section reports tail latencies (P95 for SQL and the
 //! client-server app, P99 for the key-value store), average and P99 power
 //! draws, and time-averaged CPU utilization. [`Tally`] collects samples and
-//! answers percentile queries; [`Welford`] maintains running mean/variance;
-//! [`TimeWeighted`] computes time-weighted averages of step signals such as
-//! utilization and power; [`SlidingWindow`] provides the 30-second and
-//! 3-minute trailing averages the auto-scaler's control loop uses.
+//! answers percentile queries; [`TimeWeighted`] computes time-weighted
+//! averages of step signals such as utilization and power;
+//! [`SlidingWindow`] provides the 30-second and 3-minute trailing averages
+//! the auto-scaler's control loop uses.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -170,19 +170,6 @@ impl Tally {
         self.sorted_len = n;
         self.selects_since_merge = 0;
     }
-
-    /// Immutable view of the raw samples (unsorted order is unspecified).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Removes all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.sum = 0.0;
-        self.sorted_len = 0;
-        self.selects_since_merge = 0;
-    }
 }
 
 impl Extend<f64> for Tally {
@@ -198,103 +185,6 @@ impl FromIterator<f64> for Tally {
         let mut t = Tally::new();
         t.extend(iter);
         t
-    }
-}
-
-/// Numerically stable running mean and variance (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use ic_sim::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for v in [2.0, 4.0, 6.0] {
-///     w.record(v);
-/// }
-/// assert_eq!(w.mean(), 4.0);
-/// assert_eq!(w.population_variance(), 8.0 / 3.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is not finite.
-    pub fn record(&mut self, value: f64) {
-        assert!(value.is_finite(), "cannot record non-finite value {value}");
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// The number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The running mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// The population variance (dividing by `n`), or 0 if empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// The population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// The minimum sample, or 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// The maximum sample, or 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
     }
 }
 
@@ -340,11 +230,6 @@ impl TimeWeighted {
         self.weighted_sum += self.last_value * (at - self.last_time).as_secs_f64();
         self.last_time = at;
         self.last_value = value;
-    }
-
-    /// The current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_value
     }
 
     /// The time-weighted average over `[start, until]`.
@@ -409,11 +294,6 @@ impl SlidingWindow {
         } else {
             Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
         }
-    }
-
-    /// The most recent sample value, if any.
-    pub fn latest(&self) -> Option<f64> {
-        self.samples.back().map(|&(_, v)| v)
     }
 
     /// The number of samples in the window.
@@ -508,8 +388,6 @@ mod tests {
         assert_eq!(t.percentile(0.5), 5.0);
         t.record(1.0);
         assert_eq!(t.percentile(0.0), 1.0);
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -555,37 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn welford_matches_two_pass() {
-        let data = [3.0, 7.0, 7.0, 19.0];
-        let mut w = Welford::new();
-        for &v in &data {
-            w.record(v);
-        }
-        assert_eq!(w.mean(), 9.0);
-        let var = data.iter().map(|v| (v - 9.0f64).powi(2)).sum::<f64>() / 4.0;
-        assert!((w.population_variance() - var).abs() < 1e-12);
-        assert_eq!(w.min(), 3.0);
-        assert_eq!(w.max(), 19.0);
-        assert_eq!(w.count(), 4);
-    }
-
-    #[test]
-    fn welford_empty_defaults() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.std_dev(), 0.0);
-        assert_eq!(w.min(), 0.0);
-        assert_eq!(w.max(), 0.0);
-    }
-
-    #[test]
     fn time_weighted_average_steps() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 10.0);
         tw.set(SimTime::from_secs(5), 20.0);
         tw.set(SimTime::from_secs(15), 0.0);
         // 10*5 + 20*10 + 0*5 = 250 over 20 s
         assert!((tw.average(SimTime::from_secs(20)) - 12.5).abs() < 1e-12);
-        assert_eq!(tw.current(), 0.0);
     }
 
     #[test]
@@ -604,7 +457,6 @@ mod tests {
         // t=0 sample is now outside [2, 12].
         assert_eq!(w.len(), 2);
         assert_eq!(w.mean(), Some(35.0));
-        assert_eq!(w.latest(), Some(20.0));
     }
 
     #[test]
@@ -648,6 +500,5 @@ mod tests {
         let w = SlidingWindow::new(SimDuration::from_secs(30));
         assert!(w.is_empty());
         assert_eq!(w.mean(), None);
-        assert_eq!(w.latest(), None);
     }
 }

@@ -38,7 +38,6 @@ pub struct SimDuration(u64);
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 const NANOS_PER_MILLI: u64 = 1_000_000;
-const NANOS_PER_MICRO: u64 = 1_000;
 
 impl SimTime {
     /// The start of the simulation, `t = 0`.
@@ -80,12 +79,6 @@ impl SimTime {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// The duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -104,11 +97,6 @@ impl SimDuration {
     /// Creates a duration of `millis` whole milliseconds.
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * NANOS_PER_MILLI)
-    }
-
-    /// Creates a duration of `micros` whole microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * NANOS_PER_MICRO)
     }
 
     /// Creates a duration from fractional seconds.
@@ -238,7 +226,6 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimTime::from_millis(1500).as_secs_f64(), 1.5);
-        assert_eq!(SimDuration::from_micros(250).as_nanos(), 250_000);
         assert_eq!(SimTime::from_secs_f64(0.5).as_secs_f64(), 0.5);
     }
 
@@ -255,10 +242,6 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(5);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX

@@ -43,17 +43,6 @@ pub enum CoolingScenario {
     Overclockable2pic,
 }
 
-impl CoolingScenario {
-    /// The Table VI column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CoolingScenario::AirBaseline => "Air baseline",
-            CoolingScenario::NonOverclockable2pic => "Non-overclockable 2PIC",
-            CoolingScenario::Overclockable2pic => "Overclockable 2PIC",
-        }
-    }
-}
-
 /// The Table VI cost rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostComponent {
@@ -214,48 +203,6 @@ impl Default for TcoModel {
     }
 }
 
-/// An absolute-cost wrapper: anchors the relative model to a baseline
-/// cost per physical core (e.g. USD per core-month) for examples and
-/// what-if analyses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AbsoluteTco {
-    baseline_usd_per_core_month: f64,
-}
-
-impl AbsoluteTco {
-    /// Creates an absolute model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline cost is not positive.
-    pub fn new(baseline_usd_per_core_month: f64) -> Self {
-        assert!(
-            baseline_usd_per_core_month > 0.0 && baseline_usd_per_core_month.is_finite(),
-            "invalid baseline cost"
-        );
-        AbsoluteTco {
-            baseline_usd_per_core_month,
-        }
-    }
-
-    /// Cost per physical core-month for a scenario, USD.
-    pub fn usd_per_pcore_month(&self, model: &TcoModel, scenario: CoolingScenario) -> f64 {
-        self.baseline_usd_per_core_month * model.cost_per_pcore_relative(scenario)
-    }
-
-    /// Annual savings versus the air baseline for a fleet of `pcores`
-    /// physical cores, USD.
-    pub fn annual_savings_usd(
-        &self,
-        model: &TcoModel,
-        scenario: CoolingScenario,
-        pcores: u64,
-    ) -> f64 {
-        let delta = 1.0 - model.cost_per_pcore_relative(scenario);
-        delta * self.baseline_usd_per_core_month * 12.0 * pcores as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,17 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn absolute_model_scales() {
-        let m = TcoModel::paper();
-        let abs = AbsoluteTco::new(20.0);
-        let oc = abs.usd_per_pcore_month(&m, CoolingScenario::Overclockable2pic);
-        assert!((oc - 19.2).abs() < 1e-9);
-        // A million-core fleet at −7 % saves 7 % × $20 × 12 × 1e6.
-        let save = abs.annual_savings_usd(&m, CoolingScenario::NonOverclockable2pic, 1_000_000);
-        assert!((save - 0.07 * 20.0 * 12.0 * 1e6).abs() < 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "invalid oversubscription")]
     fn undersubscription_panics() {
         TcoModel::paper().cost_per_vcore_relative(CoolingScenario::AirBaseline, 0.9);
@@ -350,10 +286,6 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(
-            CoolingScenario::Overclockable2pic.label(),
-            "Overclockable 2PIC"
-        );
         assert_eq!(CostComponent::DcConstruction.to_string(), "DC construction");
     }
 }

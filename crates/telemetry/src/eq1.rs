@@ -68,35 +68,6 @@ pub fn min_frequency_for_threshold(
         .find(|&f1| predict_utilization(util, productivity, f0, f1) <= threshold)
 }
 
-/// The maximum frequency from `candidates` at which predicted
-/// utilization stays *above* `threshold` — used for scale-*down*
-/// decisions: drop frequency as far as possible without pushing
-/// utilization over the scale-up threshold again.
-///
-/// Returns the lowest candidate if all of them keep utilization at or
-/// below the threshold.
-///
-/// # Panics
-///
-/// Panics on invalid inputs or an empty candidate list.
-pub fn max_frequency_within_threshold(
-    util: f64,
-    productivity: f64,
-    f0: f64,
-    candidates: &[f64],
-    threshold: f64,
-) -> f64 {
-    assert!(!candidates.is_empty(), "no candidate frequencies");
-    let mut sorted: Vec<f64> = candidates.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite frequencies"));
-    for &f1 in &sorted {
-        if predict_utilization(util, productivity, f0, f1) <= threshold {
-            return f1;
-        }
-    }
-    *sorted.last().expect("non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,17 +121,6 @@ mod tests {
         let bins = [3.4, 3.5];
         // Memory-bound: no frequency helps.
         assert_eq!(min_frequency_for_threshold(0.6, 0.0, 3.4, &bins, 0.4), None);
-    }
-
-    #[test]
-    fn max_frequency_within_threshold_falls_back_to_fastest() {
-        let bins = [3.4, 3.7, 4.1];
-        // Very high utilization: nothing satisfies, return fastest.
-        let f = max_frequency_within_threshold(1.0, 1.0, 3.4, &bins, 0.2);
-        assert_eq!(f, 4.1);
-        // Low utilization: the slowest bin already satisfies.
-        let f = max_frequency_within_threshold(0.1, 1.0, 3.4, &bins, 0.4);
-        assert_eq!(f, 3.4);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! reference temperatures from the table's observed junction temperatures
 //! and reuse the same structure for the Table V lifetime configurations.
 
-use crate::fluid::{BoilingCoating, DielectricFluid};
+use crate::fluid::DielectricFluid;
 use ic_scenario::{CoolingSpec, PlatformSpec, ThermalCalibration};
 
 /// A calibrated junction-to-coolant thermal interface.
@@ -34,17 +34,6 @@ use ic_scenario::{CoolingSpec, PlatformSpec, ThermalCalibration};
 pub struct ThermalInterface {
     reference_temp_c: f64,
     resistance_c_per_w: f64,
-    medium: CoolingMedium,
-}
-
-/// What the junction ultimately rejects heat into.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoolingMedium {
-    /// Forced air: reference is inlet temperature plus a case rise.
-    Air,
-    /// Two-phase immersion: reference is the fluid boiling point plus a
-    /// wall-superheat offset.
-    TwoPhase(DielectricFluid),
 }
 
 impl ThermalInterface {
@@ -66,7 +55,6 @@ impl ThermalInterface {
         ThermalInterface {
             reference_temp_c: inlet_c + case_rise_c,
             resistance_c_per_w,
-            medium: CoolingMedium::Air,
         }
     }
 
@@ -90,18 +78,7 @@ impl ThermalInterface {
         ThermalInterface {
             reference_temp_c: fluid.boiling_point_c() + superheat_c,
             resistance_c_per_w,
-            medium: CoolingMedium::TwoPhase(fluid),
         }
-    }
-
-    /// Applies a boiling-enhancing coating, which divides the boiling-side
-    /// thermal resistance by the coating's performance factor. Only
-    /// meaningful for two-phase interfaces; a no-op on air.
-    pub fn with_coating(mut self, coating: BoilingCoating) -> Self {
-        if matches!(self.medium, CoolingMedium::TwoPhase(_)) {
-            self.resistance_c_per_w /= coating.performance_factor();
-        }
-        self
     }
 
     /// The effective reference temperature in °C.
@@ -114,18 +91,12 @@ impl ThermalInterface {
         self.resistance_c_per_w
     }
 
-    /// The cooling medium.
-    pub fn medium(&self) -> &CoolingMedium {
-        &self.medium
-    }
-
     /// An identity key over the two parameters that determine
     /// [`junction_temp_c`](Self::junction_temp_c) (bit patterns of the
     /// reference temperature and thermal resistance). Two interfaces
     /// with equal keys produce identical junction temperatures for every
     /// power input, so the key is safe to memoize steady-state solves
-    /// on; the medium is deliberately excluded because it does not enter
-    /// the temperature model.
+    /// on.
     pub fn thermal_key(&self) -> (u64, u64) {
         (
             self.reference_temp_c.to_bits(),
@@ -152,18 +123,6 @@ impl ThermalInterface {
     /// the limit.
     pub fn max_power_for_tj(&self, tj_max_c: f64) -> f64 {
         ((tj_max_c - self.reference_temp_c) / self.resistance_c_per_w).max(0.0)
-    }
-
-    /// The junction-temperature *swing* (ΔT_j) between idle (`idle_w`) and
-    /// peak (`peak_w`) power — the thermal-cycling input of the lifetime
-    /// model (Table V's "DTj" column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idle_w > peak_w`.
-    pub fn temp_swing_c(&self, idle_w: f64, peak_w: f64) -> f64 {
-        assert!(idle_w <= peak_w, "idle power exceeds peak power");
-        self.junction_temp_c(peak_w) - self.junction_temp_c(idle_w)
     }
 
     /// Builds the interface described by a scenario platform, resolving
@@ -271,21 +230,6 @@ mod tests {
         assert!((iface.junction_temp_c(p) - 92.0).abs() < 1e-9);
         // Below the reference temperature no power is allowed.
         assert_eq!(iface.max_power_for_tj(20.0), 0.0);
-    }
-
-    #[test]
-    fn coating_halves_two_phase_resistance_only() {
-        let bare = ThermalInterface::two_phase(DielectricFluid::fc3284(), 0.16, 1.0);
-        let coated = bare.clone().with_coating(BoilingCoating::L20227);
-        assert!((coated.resistance_c_per_w() - 0.08).abs() < 1e-12);
-        let air = ThermalInterface::air(35.0, 12.0, 0.22).with_coating(BoilingCoating::L20227);
-        assert_eq!(air.resistance_c_per_w(), 0.22);
-    }
-
-    #[test]
-    fn temp_swing_matches_resistance_times_power_delta() {
-        let iface = ThermalInterface::two_phase(DielectricFluid::fc3284(), 0.1, 0.0);
-        assert!((iface.temp_swing_c(5.0, 205.0) - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -13,25 +13,22 @@ use crate::fluid::DielectricFluid;
 use crate::junction::ThermalInterface;
 use ic_scenario::{TankSpec, ThermalCalibration};
 
-/// A 2PIC tank hosting a fixed set of server slots.
+/// A 2PIC tank: its fluid and the junction interface it gives the
+/// components immersed in it.
 ///
 /// # Example
 ///
 /// ```
 /// use ic_thermal::tank::TankPrototype;
 ///
-/// let tank = TankPrototype::large();
-/// assert_eq!(tank.server_slots(), 36);
-/// // 36 servers × 658 W (immersed: no fans) is within condenser capacity.
-/// assert!(tank.can_dissipate(36.0 * 658.0));
+/// let tank = TankPrototype::small_tank_1();
+/// // HFE-7000 boils at 34 °C: the junction reference of every part in it.
+/// assert_eq!(tank.interface(0.084, 0.0).reference_temp_c(), 34.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TankPrototype {
     name: String,
     fluid: DielectricFluid,
-    server_slots: u32,
-    condenser_capacity_w: f64,
-    sealed: bool,
 }
 
 impl TankPrototype {
@@ -49,9 +46,6 @@ impl TankPrototype {
         TankPrototype {
             name: spec.name.clone(),
             fluid: DielectricFluid::from_spec(fluid),
-            server_slots: spec.server_slots,
-            condenser_capacity_w: spec.condenser_capacity_w,
-            sealed: spec.sealed,
         }
     }
 
@@ -67,18 +61,6 @@ impl TankPrototype {
         Self::paper_tank(0)
     }
 
-    /// Small tank #2: i9-9900K + RTX 2080 Ti in FC-3284, 2 server slots.
-    pub fn small_tank_2() -> Self {
-        Self::paper_tank(1)
-    }
-
-    /// The large tank: 36 Open Compute blades in FC-3284. Its condenser
-    /// handles 36 × 700 W air-equivalent servers plus the paper's
-    /// +200 W/server overclocking headroom (Section IV).
-    pub fn large() -> Self {
-        Self::paper_tank(2)
-    }
-
     /// The tank's descriptive name.
     pub fn name(&self) -> &str {
         &self.name
@@ -87,33 +69,6 @@ impl TankPrototype {
     /// The immersion fluid in this tank.
     pub fn fluid(&self) -> &DielectricFluid {
         &self.fluid
-    }
-
-    /// The number of server slots.
-    pub fn server_slots(&self) -> u32 {
-        self.server_slots
-    }
-
-    /// The condenser's maximum continuous heat rejection, in watts.
-    pub fn condenser_capacity_w(&self) -> f64 {
-        self.condenser_capacity_w
-    }
-
-    /// `true` if the tank is sealed against vapor loss (Takeaway 4).
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
-    /// Whether the condenser can reject `heat_w` continuously.
-    pub fn can_dissipate(&self, heat_w: f64) -> bool {
-        heat_w <= self.condenser_capacity_w
-    }
-
-    /// The steady-state vapor generation rate, kg/s, at heat load
-    /// `heat_w`. The condenser returns the same mass as liquid, so no
-    /// fluid is lost while sealed.
-    pub fn vapor_rate_kg_per_s(&self, heat_w: f64) -> f64 {
-        self.fluid.boil_rate_kg_per_s(heat_w)
     }
 
     /// Builds a junction interface for a component immersed in this tank
@@ -128,35 +83,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prototype_inventory() {
-        assert_eq!(TankPrototype::small_tank_1().server_slots(), 2);
-        assert_eq!(TankPrototype::small_tank_2().server_slots(), 2);
-        assert_eq!(TankPrototype::large().server_slots(), 36);
-    }
-
-    #[test]
     fn fluids_match_section_3() {
         assert_eq!(TankPrototype::small_tank_1().fluid().name(), "3M HFE-7000");
-        assert_eq!(TankPrototype::small_tank_2().fluid().name(), "3M FC-3284");
-        assert_eq!(TankPrototype::large().fluid().name(), "3M FC-3284");
-    }
-
-    #[test]
-    fn large_tank_handles_full_load_with_overclocking() {
-        let tank = TankPrototype::large();
-        // 36 servers at 700 W (air envelope) each.
-        assert!(tank.can_dissipate(36.0 * 700.0));
-        // Plus the paper's +200 W/server overclocking allowance.
-        assert!(tank.can_dissipate(36.0 * 900.0));
-        // But not unbounded.
-        assert!(!tank.can_dissipate(36.0 * 1200.0));
-    }
-
-    #[test]
-    fn vapor_rate_uses_fluid_latent_heat() {
-        let tank = TankPrototype::large();
-        let rate = tank.vapor_rate_kg_per_s(10_500.0);
-        assert!((rate - 0.1).abs() < 1e-9); // 10.5 kW / 105 kJ/kg
+        assert_eq!(TankPrototype::paper_tank(1).fluid().name(), "3M FC-3284");
+        assert_eq!(TankPrototype::paper_tank(2).fluid().name(), "3M FC-3284");
+        // Slots and condenser capacity come straight from the calibration:
+        // the large tank holds 36 blades at 700 W plus the paper's
+        // +200 W/server overclocking allowance, but is not unbounded.
+        let tanks = ThermalCalibration::paper().tanks;
+        let slots: Vec<u32> = tanks.iter().map(|t| t.server_slots).collect();
+        assert_eq!(slots, [2, 2, 36]);
+        assert!(36.0 * 900.0 <= tanks[2].condenser_capacity_w);
+        assert!(36.0 * 1200.0 > tanks[2].condenser_capacity_w);
     }
 
     #[test]
@@ -165,10 +103,5 @@ mod tests {
         let iface = tank.interface(0.084, 0.0);
         // HFE-7000 boils at 34 °C.
         assert_eq!(iface.reference_temp_c(), 34.0);
-    }
-
-    #[test]
-    fn tanks_are_sealed() {
-        assert!(TankPrototype::large().is_sealed());
     }
 }

@@ -129,11 +129,6 @@ impl CoolingTechnology {
         ]
     }
 
-    /// The technology family.
-    pub fn kind(&self) -> &CoolingKind {
-        &self.kind
-    }
-
     /// A short human-readable name matching Table I's row labels.
     pub fn name(&self) -> &'static str {
         match self.kind {
@@ -167,38 +162,12 @@ impl CoolingTechnology {
         self.max_server_cooling_w
     }
 
-    /// `true` for 1PIC/2PIC, whose tanks remove heat without server fans.
-    pub fn is_immersion(&self) -> bool {
-        matches!(
-            self.kind,
-            CoolingKind::Immersion1P(_) | CoolingKind::Immersion2P(_)
-        )
-    }
-
     /// The immersion fluid, if this is an immersion technology.
     pub fn fluid(&self) -> Option<&DielectricFluid> {
         match &self.kind {
             CoolingKind::Immersion1P(f) | CoolingKind::Immersion2P(f) => Some(f),
             _ => None,
         }
-    }
-
-    /// Whether a server dissipating `power_w` can be cooled at all.
-    pub fn can_cool(&self, power_w: f64) -> bool {
-        power_w <= self.max_server_cooling_w
-    }
-
-    /// Total facility power for a given IT load at average PUE.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `it_power_w` is negative or non-finite.
-    pub fn facility_power_w(&self, it_power_w: f64) -> f64 {
-        assert!(
-            it_power_w.is_finite() && it_power_w >= 0.0,
-            "invalid IT power {it_power_w}"
-        );
-        it_power_w * self.avg_pue
     }
 
     /// The fractional reduction in *total* datacenter power achieved by
@@ -275,7 +244,6 @@ mod tests {
     #[test]
     fn immersion_has_no_fans_and_knows_its_fluid() {
         let t = CoolingTechnology::immersion_2p(DielectricFluid::hfe7000());
-        assert!(t.is_immersion());
         assert_eq!(t.fan_overhead(), 0.0);
         assert_eq!(t.fluid().unwrap().name(), "3M HFE-7000");
         assert!(CoolingTechnology::chiller().fluid().is_none());
@@ -286,14 +254,8 @@ mod tests {
         let air = CoolingTechnology::direct_evaporative();
         let tpic = CoolingTechnology::immersion_2p(DielectricFluid::fc3284());
         // A 900 W overclocked server exceeds the air envelope but not 2PIC.
-        assert!(!air.can_cool(900.0));
-        assert!(tpic.can_cool(900.0));
-    }
-
-    #[test]
-    fn facility_power_applies_avg_pue() {
-        let t = CoolingTechnology::water_side();
-        assert!((t.facility_power_w(1000.0) - 1190.0).abs() < 1e-9);
+        assert!(900.0 > air.max_server_cooling_w());
+        assert!(900.0 <= tpic.max_server_cooling_w());
     }
 
     #[test]

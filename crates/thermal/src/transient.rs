@@ -57,16 +57,6 @@ impl ThermalNode {
         ThermalNode::new(resistance_c_per_w, 450.0, inlet_c)
     }
 
-    /// Current junction temperature, °C.
-    pub fn temp_c(&self) -> f64 {
-        self.temp_c
-    }
-
-    /// Current reference temperature, °C.
-    pub fn reference_c(&self) -> f64 {
-        self.reference_c
-    }
-
     /// The node's time constant `τ = R·C`, seconds.
     pub fn time_constant_s(&self) -> f64 {
         self.resistance_c_per_w * self.capacitance_j_per_c
@@ -153,7 +143,7 @@ mod tests {
     fn node_settles_to_steady_state() {
         let mut n = ThermalNode::new(0.1, 100.0, 50.0);
         n.step(200.0, 1000.0); // many time constants
-        assert!((n.temp_c() - 70.0).abs() < 1e-6);
+        assert!((n.temp_c - 70.0).abs() < 1e-6);
     }
 
     #[test]
@@ -161,7 +151,7 @@ mod tests {
         let mut n = ThermalNode::new(0.1, 100.0, 50.0);
         // One time constant (10 s): 63.2 % of the way to steady state.
         n.step(200.0, n.time_constant_s());
-        let progress = (n.temp_c() - 50.0) / 20.0;
+        let progress = (n.temp_c - 50.0) / 20.0;
         assert!((progress - 0.632).abs() < 0.002, "progress {progress}");
     }
 
@@ -197,7 +187,7 @@ mod tests {
         let fluid = DielectricFluid::hfe7000();
         let mut tank = ThermalNode::immersed(&fluid, 0.084);
         tank.run_profile(&[(600.0, 300.0), (600.0, 0.0)]);
-        assert!(tank.temp_c() >= fluid.boiling_point_c() - 1e-9);
+        assert!(tank.temp_c >= fluid.boiling_point_c() - 1e-9);
     }
 
     #[test]

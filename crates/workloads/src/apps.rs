@@ -128,9 +128,6 @@ pub struct AppProfile {
     metric: Metric,
     latency_sensitive: bool,
     bottleneck: Bottleneck,
-    /// Peak memory-bandwidth demand at B2, GB/s — drives the
-    /// shared-bandwidth contention model of Figure 13.
-    mem_bw_gbps: f64,
 }
 
 impl AppProfile {
@@ -161,7 +158,6 @@ impl AppProfile {
                 spec.memory_share,
                 spec.fixed_share,
             ),
-            mem_bw_gbps: spec.mem_bw_gbps,
         }
     }
 
@@ -178,36 +174,10 @@ impl AppProfile {
         Self::paper_app("SQL")
     }
 
-    /// TensorFlow CPU model training — compute-bound with an effective
-    /// prefetcher, so cache/memory overclocks barely help.
-    pub fn training() -> Self {
-        Self::paper_app("Training")
-    }
-
-    /// Distributed key-value store, P99 latency.
-    pub fn key_value() -> Self {
-        Self::paper_app("Key-Value")
-    }
-
     /// Business intelligence — only core overclocking helps; anything
     /// else burns power for nothing (the paper's cautionary example).
     pub fn bi() -> Self {
         Self::paper_app("BI")
-    }
-
-    /// The M/G/k queueing application driving the auto-scaler study.
-    pub fn client_server() -> Self {
-        Self::paper_app("Client-Server")
-    }
-
-    /// Pmbench paging microbenchmark — LLC/paging path dominates.
-    pub fn pmbench() -> Self {
-        Self::paper_app("Pmbench")
-    }
-
-    /// Microsoft DiskSpd I/O benchmark — uncore-sensitive, core-light.
-    pub fn diskspeed() -> Self {
-        Self::paper_app("DiskSpeed")
     }
 
     /// SPECjbb 2000 — Java middleware throughput.
@@ -219,16 +189,6 @@ impl AppProfile {
     /// more than the core clock.
     pub fn terasort() -> Self {
         Self::paper_app("TeraSort")
-    }
-
-    /// VGG CNN training on the GPU — see `gpu` for its dedicated model.
-    pub fn vgg() -> Self {
-        Self::paper_app("VGG")
-    }
-
-    /// STREAM memory bandwidth — see `stream` for its dedicated model.
-    pub fn stream() -> Self {
-        Self::paper_app("STREAM")
     }
 
     /// The Table IX suite of a workload calibration, in row order.
@@ -287,11 +247,6 @@ impl AppProfile {
         self.bottleneck
     }
 
-    /// Peak memory-bandwidth demand at B2, GB/s.
-    pub fn mem_bw_gbps(&self) -> f64 {
-        self.mem_bw_gbps
-    }
-
     /// `true` for latency-sensitive applications. Follows the paper's
     /// classification: the latency-metric apps plus SPECJBB, which
     /// Table X groups with SQL as latency-sensitive despite its
@@ -343,9 +298,15 @@ mod tests {
     #[test]
     fn metrics_match_table9() {
         assert_eq!(AppProfile::sql().metric(), Metric::P95Latency);
-        assert_eq!(AppProfile::key_value().metric(), Metric::P99Latency);
-        assert_eq!(AppProfile::diskspeed().metric(), Metric::OpsPerSec);
-        assert_eq!(AppProfile::stream().metric(), Metric::MbPerSec);
+        assert_eq!(
+            AppProfile::paper_app("Key-Value").metric(),
+            Metric::P99Latency
+        );
+        assert_eq!(
+            AppProfile::paper_app("DiskSpeed").metric(),
+            Metric::OpsPerSec
+        );
+        assert_eq!(AppProfile::paper_app("STREAM").metric(), Metric::MbPerSec);
         assert_eq!(AppProfile::terasort().metric(), Metric::Seconds);
     }
 
@@ -364,7 +325,7 @@ mod tests {
     #[test]
     fn latency_sensitivity_classification() {
         assert!(AppProfile::sql().is_latency_sensitive());
-        assert!(AppProfile::key_value().is_latency_sensitive());
+        assert!(AppProfile::paper_app("Key-Value").is_latency_sensitive());
         assert!(!AppProfile::terasort().is_latency_sensitive());
         assert!(!AppProfile::bi().is_latency_sensitive());
     }

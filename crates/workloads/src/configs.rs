@@ -64,11 +64,6 @@ impl CpuConfig {
         Self::paper_config("B2")
     }
 
-    /// B3: B2 plus uncore/LLC overclocked to 2.8 GHz.
-    pub fn b3() -> Self {
-        Self::paper_config("B3")
-    }
-
     /// B4: B3 plus memory overclocked to 3.0 GHz.
     pub fn b4() -> Self {
         Self::paper_config("B4")
@@ -151,12 +146,6 @@ impl CpuConfig {
         v.with_offset_mv(self.voltage_offset_mv)
     }
 
-    /// `true` if any component runs beyond the B2 production baseline.
-    pub fn is_overclocked(&self) -> bool {
-        let b2 = Self::b2();
-        self.core > b2.core || self.llc > b2.llc || self.memory > b2.memory
-    }
-
     /// Core clock ratio relative to another configuration.
     pub fn core_ratio_to(&self, other: &CpuConfig) -> f64 {
         self.core.ratio_to(other.core)
@@ -225,14 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn overclock_detection() {
-        assert!(!CpuConfig::b1().is_overclocked());
-        assert!(!CpuConfig::b2().is_overclocked());
-        assert!(CpuConfig::b3().is_overclocked());
-        assert!(CpuConfig::oc1().is_overclocked());
-    }
-
-    #[test]
     fn lookup_by_name() {
         assert_eq!(CpuConfig::by_name("oc3"), Some(CpuConfig::oc3()));
         assert_eq!(CpuConfig::by_name("B2"), Some(CpuConfig::b2()));
@@ -253,7 +234,7 @@ mod tests {
     fn ratios_against_b2() {
         let b2 = CpuConfig::b2();
         assert!((CpuConfig::oc1().core_ratio_to(&b2) - 1.2059).abs() < 1e-3);
-        assert!((CpuConfig::b3().llc_ratio_to(&b2) - 2.8 / 2.4).abs() < 1e-9);
+        assert!((CpuConfig::paper_config("B3").llc_ratio_to(&b2) - 2.8 / 2.4).abs() < 1e-9);
         assert_eq!(CpuConfig::b2().core_ratio_to(&b2), 1.0);
     }
 }

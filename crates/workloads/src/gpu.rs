@@ -61,11 +61,6 @@ impl GpuConfig {
         Self::paper_config("Base")
     }
 
-    /// OCG1: 250 W, core overclocked to 1.55/2.085 GHz.
-    pub fn ocg1() -> Self {
-        Self::paper_config("OCG1")
-    }
-
     /// OCG2: 300 W, OCG1 plus memory at 8.1 GHz and +100 mV.
     pub fn ocg2() -> Self {
         Self::paper_config("OCG2")
@@ -217,7 +212,6 @@ impl VggModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuPowerModel {
     p99_fraction_of_limit: f64,
-    avg_fraction_of_p99: f64,
 }
 
 impl GpuPowerModel {
@@ -225,18 +219,12 @@ impl GpuPowerModel {
     pub fn rtx2080ti() -> Self {
         GpuPowerModel {
             p99_fraction_of_limit: 0.77,
-            avg_fraction_of_p99: 0.93,
         }
     }
 
     /// P99 board power under `cfg`, W.
     pub fn p99_power_w(&self, cfg: &GpuConfig) -> f64 {
         cfg.power_limit_w() * self.p99_fraction_of_limit
-    }
-
-    /// Average board power under `cfg`, W.
-    pub fn avg_power_w(&self, cfg: &GpuConfig) -> f64 {
-        self.p99_power_w(cfg) * self.avg_fraction_of_p99
     }
 }
 
@@ -307,7 +295,11 @@ mod tests {
     #[test]
     fn all_models_improve_under_every_overclock() {
         for m in VggModel::suite() {
-            for cfg in [GpuConfig::ocg1(), GpuConfig::ocg2(), GpuConfig::ocg3()] {
+            for cfg in [
+                GpuConfig::paper_config("OCG1"),
+                GpuConfig::ocg2(),
+                GpuConfig::ocg3(),
+            ] {
                 assert!(
                     m.normalized_time(&cfg) < 1.0,
                     "{} under {}",
@@ -321,7 +313,7 @@ mod tests {
     #[test]
     fn vgg16b_ignores_memory_overclocking() {
         let m = VggModel::by_name("VGG16B").unwrap();
-        let ocg1 = m.normalized_time(&GpuConfig::ocg1());
+        let ocg1 = m.normalized_time(&GpuConfig::paper_config("OCG1"));
         let ocg2 = m.normalized_time(&GpuConfig::ocg2());
         let ocg3 = m.normalized_time(&GpuConfig::ocg3());
         // OCG2 offers only marginal improvement over OCG1...
@@ -333,7 +325,8 @@ mod tests {
     #[test]
     fn non_batch_models_do_benefit_from_memory() {
         let m = VggModel::by_name("VGG11").unwrap();
-        let gain = m.normalized_time(&GpuConfig::ocg1()) - m.normalized_time(&GpuConfig::ocg2());
+        let gain = m.normalized_time(&GpuConfig::paper_config("OCG1"))
+            - m.normalized_time(&GpuConfig::ocg2());
         assert!(gain > 0.02, "VGG11 memory gain {gain}");
     }
 
@@ -353,7 +346,8 @@ mod tests {
         // to no improvement on VGG16B. (OCG1 is at the 250 W limit;
         // OCG2/OCG3 raise it to 300 W.)
         let p = GpuPowerModel::rtx2080ti();
-        let step = p.p99_power_w(&GpuConfig::ocg3()) / p.p99_power_w(&GpuConfig::ocg1());
+        let step =
+            p.p99_power_w(&GpuConfig::ocg3()) / p.p99_power_w(&GpuConfig::paper_config("OCG1"));
         assert!(step > 1.05, "power step {step}");
     }
 

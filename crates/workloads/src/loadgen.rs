@@ -7,18 +7,14 @@
 //! injects the sudden surges the auto-scaler experiments stress; both
 //! compose into QPS schedules for the client-server simulation.
 
-use ic_sim::rng::SimRng;
-
 /// A smooth day/night load curve:
-/// `base + amplitude · (1 + sin(2π(t − phase)/period)) / 2`, plus
-/// optional multiplicative noise.
+/// `base + amplitude · (1 + sin(2π(t − phase)/period)) / 2`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalLoad {
     base_qps: f64,
     amplitude_qps: f64,
     period_s: f64,
     phase_s: f64,
-    noise_fraction: f64,
 }
 
 impl DiurnalLoad {
@@ -26,8 +22,8 @@ impl DiurnalLoad {
     ///
     /// # Panics
     ///
-    /// Panics if the base or amplitude is negative, the period is not
-    /// positive, or the noise fraction is outside `[0, 1)`.
+    /// Panics if the base or amplitude is negative or the period is not
+    /// positive.
     pub fn new(base_qps: f64, amplitude_qps: f64, period_s: f64) -> Self {
         assert!(base_qps >= 0.0 && amplitude_qps >= 0.0, "negative load");
         assert!(period_s > 0.0, "period must be positive");
@@ -36,7 +32,6 @@ impl DiurnalLoad {
             amplitude_qps,
             period_s,
             phase_s: 0.0,
-            noise_fraction: 0.0,
         }
     }
 
@@ -51,32 +46,10 @@ impl DiurnalLoad {
         self
     }
 
-    /// Adds multiplicative noise of the given fraction (sampled per
-    /// query of [`Self::sample`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fraction is outside `[0, 1)`.
-    pub fn with_noise(mut self, fraction: f64) -> Self {
-        assert!((0.0..1.0).contains(&fraction), "invalid noise fraction");
-        self.noise_fraction = fraction;
-        self
-    }
-
-    /// The noiseless load at time `t_s`.
+    /// The load at time `t_s`.
     pub fn at(&self, t_s: f64) -> f64 {
         let angle = 2.0 * std::f64::consts::PI * (t_s - self.phase_s) / self.period_s;
         self.base_qps + self.amplitude_qps * (1.0 + angle.sin()) / 2.0
-    }
-
-    /// The load at `t_s` with noise applied.
-    pub fn sample(&self, t_s: f64, rng: &mut SimRng) -> f64 {
-        let clean = self.at(t_s);
-        if self.noise_fraction == 0.0 {
-            clean
-        } else {
-            (clean * (1.0 + self.noise_fraction * (2.0 * rng.uniform() - 1.0))).max(0.0)
-        }
     }
 
     /// The trough (minimum) load — the valley where overclocking
@@ -217,19 +190,6 @@ mod tests {
         assert!((f - 0.5).abs() < 0.01, "fraction {f}");
         assert_eq!(d.fraction_below(200.0), 1.0);
         assert_eq!(d.fraction_below(-1.0), 0.0);
-    }
-
-    #[test]
-    fn noise_stays_within_band_and_is_deterministic() {
-        let d = DiurnalLoad::daily(1000.0, 0.0).with_noise(0.1);
-        let mut rng1 = SimRng::seed_from_u64(5);
-        let mut rng2 = SimRng::seed_from_u64(5);
-        for t in 0..100 {
-            let a = d.sample(t as f64, &mut rng1);
-            let b = d.sample(t as f64, &mut rng2);
-            assert_eq!(a, b);
-            assert!((900.0..=1100.0).contains(&a));
-        }
     }
 
     #[test]

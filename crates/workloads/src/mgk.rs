@@ -193,11 +193,9 @@ impl Inner {
 /// use ic_sim::time::SimTime;
 ///
 /// let mut sim = ClientServerSim::new(42, 0.0028, 1.5, 4, 0.15);
-/// let vm = sim.add_vm();
+/// sim.add_vm();
 /// sim.set_qps(500.0);
 /// sim.advance_to(SimTime::from_secs(30));
-/// let util = sim.utilization_since(vm, &sim.sample(vm));
-/// assert_eq!(util, 0.0); // a fresh sample spans no time
 /// assert!(sim.completed_requests() > 10_000);
 /// ```
 #[derive(Debug)]
@@ -378,8 +376,8 @@ impl ClientServerSim {
         }
     }
 
-    /// Sets every active VM's pcore share in one pass (see
-    /// [`set_share`](Self::set_share)).
+    /// Sets every active VM's pcore share (oversubscription slowdown),
+    /// in `(0, 1]`, in one pass.
     ///
     /// # Panics
     ///
@@ -428,16 +426,6 @@ impl ClientServerSim {
         self.inner.vms[id].freq_ratio
     }
 
-    /// Sets a VM's pcore share (oversubscription slowdown), in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the share is outside `(0, 1]`.
-    pub fn set_share(&mut self, id: VmId, share: f64) {
-        assert!(share > 0.0 && share <= 1.0, "invalid share {share}");
-        self.inner.vms[id].share = share;
-    }
-
     /// Runs the simulation up to `t`.
     pub fn advance_to(&mut self, t: SimTime) {
         self.engine.run_until(&mut self.inner, t);
@@ -448,18 +436,6 @@ impl ClientServerSim {
     /// two snapshots.
     pub fn sample(&self, id: VmId) -> CounterSample {
         self.inner.vms[id].counters.sample(self.now().as_secs_f64())
-    }
-
-    /// Busy-core utilization of a VM since an `earlier` snapshot, in
-    /// `[0, 1]` (busy core-seconds over `vcores × wall`). Returns 0 for
-    /// a zero-length interval.
-    pub fn utilization_since(&self, id: VmId, earlier: &CounterSample) -> f64 {
-        let delta = self.sample(id).since(earlier);
-        let wall = delta.d_wall_seconds();
-        if wall <= 0.0 {
-            return 0.0;
-        }
-        (delta.d_busy_seconds() / (self.inner.vms[id].vcores as f64 * wall)).clamp(0.0, 1.0)
     }
 
     /// Takes all request completions recorded since the last call:
@@ -486,11 +462,6 @@ impl ClientServerSim {
     /// The number of virtual cores a VM has.
     pub fn vcores(&self, id: VmId) -> u32 {
         self.inner.vms[id].vcores
-    }
-
-    /// The number of in-service requests at a VM.
-    pub fn in_service(&self, id: VmId) -> u32 {
-        self.inner.vms[id].busy
     }
 }
 
@@ -642,7 +613,8 @@ mod tests {
         let before = sim.sample(vm);
         sim.advance_to(SimTime::from_secs(120));
         // Offered core utilization: 500 × 0.0028 / 4 = 0.35 of the VM.
-        let util = sim.utilization_since(vm, &before);
+        let delta = sim.sample(vm).since(&before);
+        let util = delta.d_busy_seconds() / (4.0 * delta.d_wall_seconds());
         let expected = 500.0 * 0.0028 / 4.0;
         assert!(
             (util - expected).abs() / expected < 0.05,
@@ -670,8 +642,8 @@ mod tests {
     fn oversubscription_share_slows_service() {
         let run = |share: f64| {
             let mut sim = ClientServerSim::new(13, 0.0028, 1.5, 4, 0.1);
-            let vm = sim.add_vm();
-            sim.set_share(vm, share);
+            sim.add_vm();
+            sim.set_share_all(share);
             sim.set_qps(600.0);
             sim.advance_to(SimTime::from_secs(60));
             p95(&sim.take_completions())
@@ -708,7 +680,7 @@ mod tests {
         sim.set_qps(0.0);
         sim.advance_to(SimTime::from_secs(40));
         assert_eq!(sim.queue_depth(b), 0);
-        assert_eq!(sim.in_service(b), 0);
+        assert_eq!(sim.inner.vms[b].busy, 0);
     }
 
     #[test]

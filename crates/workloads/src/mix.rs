@@ -146,29 +146,9 @@ impl Scenario {
         vec![Self::scenario1(), Self::scenario2(), Self::scenario3()]
     }
 
-    /// The scenario label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The VM entries.
-    pub fn entries(&self) -> &[VmEntry] {
-        &self.entries
-    }
-
-    /// The physical cores assigned.
-    pub fn pcores(&self) -> u32 {
-        self.pcores
-    }
-
     /// Total vcores requested by all VMs (20 in every Table X scenario).
     pub fn total_vcores(&self) -> u32 {
         self.entries.iter().map(|e| e.app.cores() * e.count).sum()
-    }
-
-    /// The oversubscription ratio `vcores/pcores`.
-    pub fn oversubscription(&self) -> f64 {
-        self.total_vcores() as f64 / self.pcores as f64
     }
 
     /// Evaluates the scenario under `cfg`: returns, per VM entry, the
@@ -263,13 +243,13 @@ mod tests {
     #[test]
     fn table10_shape() {
         for s in Scenario::table10() {
-            assert_eq!(s.total_vcores(), 20, "{}", s.name());
-            assert_eq!(s.pcores(), 16);
-            assert!((s.oversubscription() - 1.25).abs() < 1e-12);
+            // 20 vcores on 16 pcores: 1.25× oversubscribed.
+            assert_eq!(s.total_vcores(), 20, "{}", s.name);
+            assert_eq!(s.pcores, 16);
         }
         assert_eq!(
             Scenario::scenario1()
-                .entries()
+                .entries
                 .iter()
                 .map(|e| e.count)
                 .sum::<u32>(),

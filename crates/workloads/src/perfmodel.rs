@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn bi_and_training_ignore_cache_and_memory() {
-        for app in [AppProfile::bi(), AppProfile::training()] {
+        for app in [AppProfile::bi(), AppProfile::by_name("Training").unwrap()] {
             let extra = imp(&app, &CpuConfig::oc3()) - imp(&app, &CpuConfig::oc1());
             assert!(extra < 2.0, "{}: non-core gain {extra:.2}%", app.name());
         }

@@ -149,7 +149,7 @@ mod tests {
         // system is overclocked."
         let m = StreamModel::calibrated();
         let k = StreamKernel::Triad;
-        let b3 = m.speedup_over_b1(k, &CpuConfig::b3());
+        let b3 = m.speedup_over_b1(k, &CpuConfig::by_name("B3").unwrap());
         let b4 = m.speedup_over_b1(k, &CpuConfig::b4());
         let b2 = m.speedup_over_b1(k, &CpuConfig::b2());
         assert!(b4 - b3 > b2 - 1.0, "memory step should beat the turbo step");
@@ -163,7 +163,10 @@ mod tests {
         let m = StreamModel::calibrated();
         let k = StreamKernel::Copy;
         assert!(m.speedup_over_b1(k, &CpuConfig::b2()) > 1.0);
-        assert!(m.speedup_over_b1(k, &CpuConfig::b3()) > m.speedup_over_b1(k, &CpuConfig::b2()));
+        assert!(
+            m.speedup_over_b1(k, &CpuConfig::by_name("B3").unwrap())
+                > m.speedup_over_b1(k, &CpuConfig::b2())
+        );
         assert!(m.speedup_over_b1(k, &CpuConfig::oc1()) > m.speedup_over_b1(k, &CpuConfig::b2()));
     }
 
@@ -209,7 +212,10 @@ mod tests {
         let m = StreamModel::calibrated();
         // B3 → B4 changes only the memory clock.
         for k in StreamKernel::all() {
-            assert!(m.bandwidth_mbps(k, &CpuConfig::b4()) > m.bandwidth_mbps(k, &CpuConfig::b3()));
+            assert!(
+                m.bandwidth_mbps(k, &CpuConfig::b4())
+                    > m.bandwidth_mbps(k, &CpuConfig::by_name("B3").unwrap())
+            );
         }
     }
 }
